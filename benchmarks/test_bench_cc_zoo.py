@@ -22,10 +22,11 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.core.rng import RngFactory
 from repro.sim.flowsim import FlowSimulator, FlowSpec, SimProfile
-from repro.sim.kernels import forced_kernel
+from repro.sim.kernels import ScalarKernel, VectorKernel
 from repro.testbeds.amlight import AmLightTestbed
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_9.json"
@@ -56,13 +57,14 @@ def _campaign_flows() -> list[FlowSpec]:
     return [FlowSpec(cc=KINDS[i % len(KINDS)]) for i in range(N_FLOWS)]
 
 
-def _run_campaign(kernel: str) -> tuple[float, list]:
+def _run_campaign(kernel: type) -> tuple[float, list]:
     tb = AmLightTestbed(kernel="6.8")
     snd, rcv = tb.host_pair()
     path = tb.path("wan54")
     flows = _campaign_flows()
     results = []
-    with forced_kernel(kernel):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FlowSimulator, "kernel_class", kernel)
         start = time.perf_counter()
         for rep in range(REPS):
             sim = FlowSimulator(snd, rcv, path, flows, PROFILE, RngFactory(2024))
@@ -73,13 +75,13 @@ def _run_campaign(kernel: str) -> tuple[float, list]:
 
 def test_bench_mixed_cc_ticks_per_sec_and_parity():
     # Warm both paths (imports, allocator, numpy dispatch caches).
-    _run_campaign("vector")
-    _run_campaign("scalar")
+    _run_campaign(VectorKernel)
+    _run_campaign(ScalarKernel)
 
     scalar_times, vector_times = [], []
     for _ in range(TRIALS):
-        es, rs = _run_campaign("scalar")
-        ev, rv = _run_campaign("vector")
+        es, rs = _run_campaign(ScalarKernel)
+        ev, rv = _run_campaign(VectorKernel)
         scalar_times.append(es)
         vector_times.append(ev)
         # Mixed-group dispatch must not cost parity: byte-identical.

@@ -21,10 +21,11 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.core.rng import RngFactory
 from repro.sim.flowsim import FlowSimulator, FlowSpec, SimProfile
-from repro.sim.kernels import forced_kernel
+from repro.sim.kernels import ScalarKernel, VectorKernel
 from repro.tcp.pacing import PacingConfig
 from repro.testbeds.amlight import AmLightTestbed
 
@@ -50,14 +51,15 @@ def _campaign_flows() -> list[FlowSpec]:
     ]
 
 
-def _run_campaign(kernel: str) -> tuple[float, list]:
-    """One timed campaign under ``kernel``; returns (seconds, results)."""
+def _run_campaign(kernel: type) -> tuple[float, list]:
+    """One timed campaign on ``kernel``; returns (seconds, results)."""
     tb = AmLightTestbed(kernel="6.5")
     snd, rcv = tb.host_pair()
     path = tb.path("wan104")
     flows = _campaign_flows()
     results = []
-    with forced_kernel(kernel):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FlowSimulator, "kernel_class", kernel)
         start = time.perf_counter()
         for rep in range(REPS):
             sim = FlowSimulator(snd, rcv, path, flows, PROFILE, RngFactory(2024))
@@ -68,13 +70,13 @@ def _run_campaign(kernel: str) -> tuple[float, list]:
 
 def test_bench_kernel_speedup_and_parity():
     # Warm both paths (imports, allocator, numpy dispatch caches).
-    _run_campaign("vector")
-    _run_campaign("scalar")
+    _run_campaign(VectorKernel)
+    _run_campaign(ScalarKernel)
 
     scalar_times, vector_times = [], []
     for _ in range(TRIALS):
-        es, rs = _run_campaign("scalar")
-        ev, rv = _run_campaign("vector")
+        es, rs = _run_campaign(ScalarKernel)
+        ev, rv = _run_campaign(VectorKernel)
         scalar_times.append(es)
         vector_times.append(ev)
         # The bench is only meaningful if both kernels computed the

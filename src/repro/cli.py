@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "(= REPRO_SANITIZE=1)")
     p_run.add_argument("--shards", type=int, default=None, metavar="N",
                        help="pin the sharded simulator's worker count "
-                       "(default: $REPRO_SIM_SHARDS or 1); results are "
-                       "byte-identical for every N")
+                       "(default 1); results are byte-identical for "
+                       "every N")
     p_run.add_argument("--trace", action="store_true",
                        help="record trace events for every task and "
                        "persist Perfetto artifacts next to the cache")

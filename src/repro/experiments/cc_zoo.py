@@ -29,10 +29,10 @@ Two campaigns:
   ``beta``.
 
 Both campaigns are ordinary registry experiments: ``repro run cc-zoo``
-renders the table + heatmap, digests are byte-identical across
-``REPRO_SIM_KERNEL=scalar|vector`` and any ``--shards`` split, and the
-paper-shape tests assert the qualitative claims from the golden
-campaign's rows.
+renders the table + heatmap, digests are byte-identical between the
+vector kernel and its scalar reference and across any ``--shards``
+split, and the paper-shape tests assert the qualitative claims from
+the golden campaign's rows.
 """
 
 from __future__ import annotations

@@ -24,10 +24,10 @@ Two campaigns extending the paper's fq-pacing story into userspace
   export.
 
 Both are ordinary registry experiments: digests are byte-identical
-across ``REPRO_SIM_KERNEL=scalar|vector``, ``--shards``, and
-``--jobs``, and the paper-shape tests assert the qualitative claims
-(including the < 10% zero-loss median the spin-bit literature leads
-with) from the golden campaign's rows.
+between the vector kernel and its scalar reference and across
+``--shards`` and ``--jobs``, and the paper-shape tests assert the
+qualitative claims (including the < 10% zero-loss median the spin-bit
+literature leads with) from the golden campaign's rows.
 """
 
 from __future__ import annotations

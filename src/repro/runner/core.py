@@ -5,9 +5,10 @@
 *when* a crashed task runs again (attempt accounting, exponential
 backoff with RngFactory-derived jitter), and actually *running* things
 on a process pool.  This module owns the first two as plain data and a
-small state machine, so every execution surface — ``repro run``'s
-per-round pools, the ``repro serve`` daemon's persistent pool, and any
-future remote executor — schedules identically:
+small state machine, so every execution surface — the in-process
+transport, ``repro run``'s campaign pool, the ``repro serve`` daemon's
+long-lived pool, and any future remote executor — schedules
+identically:
 
 * :func:`plan_campaign` — given specs and the cache, decide which
   slots are served from storage and which become pending work, in

@@ -5,9 +5,8 @@ an execution transport and returns a
 :class:`~repro.runner.tasks.RunReport` in submission order.  The
 decisions live in :mod:`repro.runner.core` (what runs, what the cache
 serves, how crashed tasks retry); the machinery lives in
-:mod:`repro.runner.transport` (in-process, per-round process pools, or
-the daemon's persistent warm pool).  Three properties the test net
-locks down:
+:mod:`repro.runner.transport` (in-process, or one warm process pool).
+Three properties the test net locks down:
 
 * **Determinism** — a task's rows depend only on (code, exp_id,
   config); worker count, transport choice, submission order, and
@@ -36,7 +35,7 @@ from repro.experiments.base import ExperimentResult
 from repro.runner.cache import ResultCache, default_cache_dir, source_digest
 from repro.runner.core import RetryPolicy, SchedulerCore, plan_campaign
 from repro.runner.tasks import RunReport, TaskResult, TaskSpec
-from repro.runner.transport import InlineTransport, PoolRoundTransport
+from repro.runner.transport import InlineTransport, PoolTransport
 from repro.tools.harness import HarnessConfig
 from repro.trace.bus import TraceSpec
 
@@ -68,7 +67,8 @@ class RunnerConfig:
     trace_dir: Path | None = None
     #: When set, every task pins the sharded simulator to this many
     #: shard workers (``repro run --shards N``); ``None`` leaves the
-    #: ambient ``REPRO_SIM_SHARDS`` selection in force.
+    #: ambient :func:`~repro.sim.shard.forced_shards` selection (1 by
+    #: default) in force.
     shards: int | None = None
 
     def __post_init__(self) -> None:
@@ -164,12 +164,6 @@ def _trace_summary(spec: TaskSpec, payload: dict, store_dir: Path | None) -> dic
     }
 
 
-def _default_transport(runner: RunnerConfig):
-    if runner.jobs == 1:
-        return InlineTransport()
-    return PoolRoundTransport(runner.jobs)
-
-
 def run_tasks(
     specs: list[TaskSpec],
     runner: RunnerConfig | None = None,
@@ -178,10 +172,11 @@ def run_tasks(
     """Run a campaign of tasks; results come back in submission order.
 
     ``transport`` overrides the execution surface (default: in-process
-    for ``jobs=1``, per-round process pools otherwise).  A caller-owned
-    transport — the daemon's
-    :class:`~repro.runner.transport.PersistentPoolTransport` — is left
-    open on return; transports built here are closed here.
+    for ``jobs=1``, otherwise one
+    :class:`~repro.runner.transport.PoolTransport` of at most ``jobs``
+    workers for the whole campaign).  A caller-owned transport — the
+    daemon's — is left open on return; a transport built here is closed
+    here, even when an experiment raises.
     """
     runner = runner or RunnerConfig()
     # wall-clock here times the campaign for the report, never a
@@ -215,7 +210,13 @@ def run_tasks(
     core = SchedulerCore(runner.retry_policy())
     owns_transport = transport is None
     if owns_transport:
-        transport = _default_transport(runner)
+        # The pool is built on first dispatch: a fully cached campaign
+        # forks nothing.
+        transport = (
+            InlineTransport()
+            if runner.jobs == 1
+            else PoolTransport(max(1, min(runner.jobs, len(plan.pending))))
+        )
     try:
         pending = plan.pending
         while pending:

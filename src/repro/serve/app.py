@@ -41,7 +41,7 @@ from repro.runner.cache import (
 )
 from repro.runner.core import RetryPolicy
 from repro.runner.tasks import TaskSpec
-from repro.runner.transport import PersistentPoolTransport
+from repro.runner.transport import PoolTransport
 from repro.serve.config import ServeConfig
 from repro.serve.http import (
     HttpError,
@@ -100,7 +100,7 @@ class ExperimentServer:
         )
         self.src_digest = source_digest()
         self.pool = AsyncWorkerPool(
-            PersistentPoolTransport(self.config.workers),
+            PoolTransport(self.config.workers),
             RetryPolicy(
                 max_attempts=self.config.max_attempts,
                 backoff=self.config.retry_backoff,
@@ -181,11 +181,14 @@ class ExperimentServer:
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             pass
         finally:
+            writer.close()
+            # Shutdown may cancel this wait (a client just hung up); the
+            # task must still end normally, or asyncio's stream server
+            # prints a traceback when it reads the task's exception().
+            with contextlib.suppress(Exception, asyncio.CancelledError):
+                await writer.wait_closed()
             if task is not None:
                 self._conn_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
 
     async def _dispatch(
         self, request: Request, writer: asyncio.StreamWriter

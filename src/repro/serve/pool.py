@@ -2,7 +2,7 @@
 
 The daemon dispatches one task at a time (requests arrive singly, not
 as campaigns), so instead of the scheduler's round protocol it wraps
-:meth:`PersistentPoolTransport.submit` futures with
+:meth:`PoolTransport.submit` futures with
 ``asyncio.wrap_future`` and applies the *same* crash-retry policy the
 process runner uses — :class:`~repro.runner.core.RetryPolicy` pricing
 delays through :class:`~repro.runner.core.BackoffSchedule` — with
@@ -18,7 +18,7 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.core.errors import RunnerError
 from repro.runner.core import BackoffSchedule, RetryPolicy
 from repro.runner.tasks import TaskSpec
-from repro.runner.transport import PersistentPoolTransport
+from repro.runner.transport import PoolTransport
 
 __all__ = ["AsyncWorkerPool"]
 
@@ -28,7 +28,7 @@ class AsyncWorkerPool:
 
     def __init__(
         self,
-        transport: PersistentPoolTransport,
+        transport: PoolTransport,
         policy: RetryPolicy | None = None,
     ) -> None:
         self.transport = transport

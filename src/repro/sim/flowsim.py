@@ -38,7 +38,7 @@ from repro.net.path import NetworkPath
 from repro.net.switch import SharedBufferQueue, SwitchModel
 from repro.sim.bottleneck import maxmin_allocate
 from repro.sim.cpumodel import CpuCostModel
-from repro.sim.kernels import make_kernel
+from repro.sim.kernels import VectorKernel
 from repro.sim.lossmodel import BurstModel, concentrate_drops, flow_release_slack
 from repro.sim.metrics import MetricsAccumulator, RunResult
 from repro.sim.sanitizer import SimSanitizer
@@ -111,6 +111,11 @@ class SimProfile:
 
 class FlowSimulator:
     """Simulates a set of flows between ``sender`` and ``receiver``."""
+
+    #: The per-tick hook implementation (:mod:`repro.sim.kernels`).  A
+    #: test seam, not an option: parity tests swap in the byte-identical
+    #: ``ScalarKernel`` reference to check this one against it.
+    kernel_class = VectorKernel
 
     def __init__(
         self,
@@ -265,13 +270,13 @@ class FlowSimulator:
         budget_tx = self.sender.core_cycles_per_sec() * run_noise
         budget_rx = self.receiver.core_cycles_per_sec() * run_noise
 
-        # The tick kernel (scalar reference or vectorized fast path,
-        # selected via REPRO_SIM_KERNEL) owns the warm per-flow state —
+        # The tick kernel (``kernel_class``: the vectorized fast path, or
+        # the scalar reference under test) owns the warm per-flow state —
         # congestion windows and the damped receiver CPU limit — and the
         # four per-flow hooks.  Everything else in the loop below is
         # shared driver code: RNG draws, cross-flow reductions, queues,
         # and trace emission, so the kernels are byte-interchangeable.
-        kern = make_kernel(
+        kern = self.kernel_class(
             ccs=ccs,
             send_models=send_models,
             recv_models=recv_models,

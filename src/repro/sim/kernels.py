@@ -31,22 +31,17 @@ aspirational, because
 * rare per-event work (loss reactions needing a real cube root, BBR's
   windowed-max state) runs the scalar code in both kernels.
 
-Selection mirrors the :mod:`repro.sim.sanitizer` opt-in pattern: the
-``REPRO_SIM_KERNEL`` environment variable (``scalar`` | ``vector``),
-with :func:`force_kernel` / :func:`forced_kernel` as programmatic
-overrides for tests.  The default is ``vector``.
+The simulator always runs :class:`VectorKernel`
+(``FlowSimulator.kernel_class``).  :class:`ScalarKernel` is the test
+oracle: the parity tests swap it in for that class attribute, and
+``pytest --tick-kernel scalar`` runs a whole test session on it.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
 import numpy as np
 
 from repro.core import units
-from repro.core.errors import ConfigurationError
 from repro.sim.cpumodel import (
     CpuCostModel,
     ReceiverCostBatch,
@@ -55,61 +50,7 @@ from repro.sim.cpumodel import (
 from repro.tcp.cc.base import CongestionControl
 from repro.tcp.cc.batch import CcBatch
 
-__all__ = [
-    "ENV_VAR",
-    "KERNEL_NAMES",
-    "DEFAULT_KERNEL",
-    "TickKernel",
-    "ScalarKernel",
-    "VectorKernel",
-    "kernel_name",
-    "force_kernel",
-    "forced_kernel",
-    "make_kernel",
-]
-
-ENV_VAR = "REPRO_SIM_KERNEL"
-KERNEL_NAMES = ("scalar", "vector")
-DEFAULT_KERNEL = "vector"
-
-#: Programmatic override: None defers to the environment variable.
-_forced: str | None = None
-
-
-def kernel_name() -> str:
-    """The kernel the next simulation run will use."""
-    if _forced is not None:
-        return _forced
-    raw = os.environ.get(ENV_VAR, "").strip().lower()
-    if not raw:
-        return DEFAULT_KERNEL
-    if raw not in KERNEL_NAMES:
-        raise ConfigurationError(
-            f"{ENV_VAR}={raw!r} is not a tick kernel; "
-            f"choose one of {list(KERNEL_NAMES)}"
-        )
-    return raw
-
-
-def force_kernel(name: str | None) -> None:
-    """Override the environment selection (None restores it)."""
-    global _forced
-    if name is not None and name not in KERNEL_NAMES:
-        raise ConfigurationError(
-            f"{name!r} is not a tick kernel; choose one of {list(KERNEL_NAMES)}"
-        )
-    _forced = name
-
-
-@contextmanager
-def forced_kernel(name: str) -> Iterator[None]:
-    """Scope a kernel selection (used by the parity tests)."""
-    prev = _forced
-    force_kernel(name)
-    try:
-        yield
-    finally:
-        force_kernel(prev)
+__all__ = ["TickKernel", "ScalarKernel", "VectorKernel"]
 
 
 class TickKernel:
@@ -119,8 +60,6 @@ class TickKernel:
     across ticks: the congestion windows (``cwnd``) and the damped
     receiver CPU limit fixed point (``rcv_limit``).
     """
-
-    name = "base"
 
     def __init__(
         self,
@@ -196,8 +135,6 @@ class TickKernel:
 
 class ScalarKernel(TickKernel):
     """Reference kernel: the original per-flow Python loops."""
-
-    name = "scalar"
 
     def pacing(self, rtt: float, pace_eff: np.ndarray) -> np.ndarray:
         pace = pace_eff.copy()
@@ -289,8 +226,6 @@ class VectorKernel(TickKernel):
       driver consumes every hook result within the tick and never
       mutates one, which is what makes the reuse safe.
     """
-
-    name = "vector"
 
     def __init__(self, ccs, send_models, recv_models, **kwargs) -> None:
         super().__init__(ccs, send_models, recv_models, **kwargs)
@@ -412,16 +347,3 @@ class VectorKernel(TickKernel):
         )
         rx_app, rx_irq = self.receiver.costs(drate, rtt)
         return tx_app, tx_irq, zc_frac, rx_app, rx_irq
-
-
-_KERNELS = {"scalar": ScalarKernel, "vector": VectorKernel}
-
-
-def make_kernel(name: str | None = None, /, **kwargs) -> TickKernel:
-    """Build the selected kernel (None = ambient selection)."""
-    resolved = kernel_name() if name is None else name
-    if resolved not in _KERNELS:
-        raise ConfigurationError(
-            f"{resolved!r} is not a tick kernel; choose one of {list(KERNEL_NAMES)}"
-        )
-    return _KERNELS[resolved](**kwargs)

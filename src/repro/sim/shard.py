@@ -48,8 +48,8 @@ hence byte-identical results).  The ``REPRO_SHARD_CRASH_ONCE``
 environment hook (a sentinel path, or ``always``) kills shard 0 on its
 second tick for the fault-injection tests.
 
-Selection mirrors :mod:`repro.sim.kernels`: ``REPRO_SIM_SHARDS`` or the
-:func:`force_shards` / :func:`forced_shards` programmatic overrides.
+The shard count is 1 unless a caller pins it: ``repro run --shards N``
+(``RunnerConfig.shards``) scopes each task with :func:`forced_shards`.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ from repro.tcp.sockets import SocketProfile
 from repro.trace.bus import active as trace_active
 
 __all__ = [
-    "ENV_VAR",
     "CRASH_ONCE_ENV",
     "BLOCK_FLOWS",
     "FlowPopulation",
@@ -105,7 +104,6 @@ __all__ = [
     "forced_shards",
 ]
 
-ENV_VAR = "REPRO_SIM_SHARDS"
 CRASH_ONCE_ENV = "REPRO_SHARD_CRASH_ONCE"
 
 #: Flows per reduction block.  Partial sums are always over exactly this
@@ -156,7 +154,7 @@ _CMD_CAPS, _CMD_WF, _CMD_SEND, _CMD_DROPS1, _CMD_FEEDBACK, _CMD_END = range(
 #: per-flow byte totals live in the shared ``accum`` segment instead.
 _EMPTY = np.zeros(0)
 
-#: Programmatic override: None defers to the environment variable.
+#: Programmatic override: None means one shard.
 _forced: int | None = None
 
 
@@ -166,24 +164,11 @@ class ShardCrashError(RuntimeError):
 
 def shard_count() -> int:
     """The shard count the next sharded run will use."""
-    if _forced is not None:
-        return _forced
-    raw = os.environ.get(ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigurationError(
-            f"{ENV_VAR}={raw!r} is not a shard count; need an integer >= 1"
-        )
-    return count
+    return 1 if _forced is None else _forced
 
 
 def force_shards(count: int | None) -> None:
-    """Override the environment selection (None restores it)."""
+    """Pin the shard count (None restores the default of 1)."""
     global _forced
     if count is not None and count < 1:
         raise ConfigurationError("shard count must be >= 1")
@@ -835,8 +820,8 @@ class _SharedMemTransport:
 class ShardedFlowSimulator:
     """Sharded massive-flow counterpart of :class:`FlowSimulator`.
 
-    ``shards=None`` resolves the ambient selection (``REPRO_SIM_SHARDS``
-    / :func:`force_shards`) at each :meth:`run`.  ``mode`` picks the
+    ``shards=None`` resolves the ambient selection (:func:`force_shards`,
+    1 by default) at each :meth:`run`.  ``mode`` picks the
     transport: ``"process"`` forks one worker per shard, ``"inproc"``
     loops them in-process (bit-identical by construction — the same
     worker methods run in the same order on the same arrays), and

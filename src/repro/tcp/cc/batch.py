@@ -2,7 +2,7 @@
 
 The scalar simulator keeps one :class:`~repro.tcp.cc.base.CongestionControl`
 object per flow and advances them in a Python loop every tick.  For the
-vector kernel (``REPRO_SIM_KERNEL=vector``) this module groups flows by
+vector kernel (the one the simulator runs) this module groups flows by
 algorithm and keeps each group's state in flat numpy arrays, so a tick
 touches every window with O(1) Python-level work.
 

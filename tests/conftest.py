@@ -5,7 +5,39 @@ from __future__ import annotations
 import pytest
 
 from repro.core.rng import RngFactory
+from repro.sim.flowsim import FlowSimulator
+from repro.sim.kernels import ScalarKernel, VectorKernel
 from repro.tools.harness import HarnessConfig
+
+#: ``--tick-kernel`` choices: the simulator's kernel and its oracle.
+TICK_KERNELS = {"vector": VectorKernel, "scalar": ScalarKernel}
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--tick-kernel",
+        choices=sorted(TICK_KERNELS),
+        default="vector",
+        help="run every FlowSimulator in the session on this tick kernel; "
+        "'scalar' re-checks the suite (goldens included) against the "
+        "scalar reference",
+    )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def tick_kernel(pytestconfig):
+    """Swap ``FlowSimulator.kernel_class`` for the whole session.
+
+    Set before any simulation (and so before any pool forks), so
+    forked workers run the same kernel as the test process.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            FlowSimulator,
+            "kernel_class",
+            TICK_KERNELS[pytestconfig.getoption("tick_kernel")],
+        )
+        yield
 
 
 @pytest.fixture()

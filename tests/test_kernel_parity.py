@@ -6,11 +6,12 @@ it is *byte-identical* to the scalar reference — same
 same-seed trace streams must match event for event.  These tests pin
 that contract on fixed configurations covering every simulator branch
 (mixed congestion control with losses, 802.3x flow control, zerocopy
-fallback, pacing), on hypothesis-generated configurations, and on a
-registered experiment's digest.
+fallback, pacing), on hypothesis-generated configurations, on
+registered experiments' digests, and on the spilled traces and Perfetto
+exports of fig09 and spin-accuracy.
 
-Selection plumbing (env var, programmatic override, factory errors) is
-covered at the bottom.
+The simulator always runs ``FlowSimulator.kernel_class``; these tests
+swap the scalar reference in for that class attribute.
 """
 
 from __future__ import annotations
@@ -20,33 +21,32 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import ConfigurationError
 from repro.core.rng import RngFactory
 from repro.sim.flowsim import FlowSimulator, FlowSpec, SimProfile
-from repro.sim.kernels import (
-    DEFAULT_KERNEL,
-    ENV_VAR,
-    KERNEL_NAMES,
-    ScalarKernel,
-    VectorKernel,
-    force_kernel,
-    forced_kernel,
-    kernel_name,
-    make_kernel,
-)
+from repro.sim.kernels import ScalarKernel, VectorKernel
 from repro.tcp.pacing import PacingConfig
 from repro.testbeds.amlight import AmLightTestbed
 from repro.testbeds.esnet import ESnetTestbed
+from repro.tools.harness import HarnessConfig
 from repro.trace.bus import ListSink, TraceBus, tracing
 
+from tests._golden import GOLDEN_CONFIG
+
 PROFILE = SimProfile(duration=4.0, tick=0.008, omit=1.0)
+#: A short cc-zoo campaign.  At :data:`GOLDEN_CONFIG` the zoo takes
+#: 10-13 s per kernel on a 2-vCPU Xeon; its golden digest is already re-checked under
+#: the scalar kernel by ``test_runner_golden.py --tick-kernel scalar``.
+SHORT_CONFIG = HarnessConfig(
+    repetitions=1, duration=0.5, omit=0.125, tick=0.008, seed=7
+)
 
 
 def run_traced(kernel, hosts, path, flows, seed, profile=PROFILE):
-    """One traced simulation run under the named kernel."""
+    """One traced simulation run under the ``kernel`` class."""
     snd, rcv = hosts
     sink = ListSink()
-    with forced_kernel(kernel):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FlowSimulator, "kernel_class", kernel)
         with tracing(TraceBus(sinks=[sink])):
             sim = FlowSimulator(
                 snd, rcv, path, flows, profile, RngFactory(seed)
@@ -152,8 +152,8 @@ class TestFixedConfigParity:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_results_and_trace_bit_identical(self, name):
         tb, path, flows, seed = CASES[name]
-        scalar = run_traced("scalar", tb.host_pair(), tb.path(path), flows, seed)
-        vector = run_traced("vector", tb.host_pair(), tb.path(path), flows, seed)
+        scalar = run_traced(ScalarKernel, tb.host_pair(), tb.path(path), flows, seed)
+        vector = run_traced(VectorKernel, tb.host_pair(), tb.path(path), flows, seed)
         assert_bit_identical(scalar, vector)
 
     def test_flow_control_path_parity(self):
@@ -162,10 +162,10 @@ class TestFixedConfigParity:
         tb = ESnetTestbed(kernel="6.8")
         flows = [FlowSpec(cc="cubic") for _ in range(6)]
         scalar = run_traced(
-            "scalar", tb.production_host_pair(), tb.production_path(), flows, 3
+            ScalarKernel, tb.production_host_pair(), tb.production_path(), flows, 3
         )
         vector = run_traced(
-            "vector", tb.production_host_pair(), tb.production_path(), flows, 3
+            VectorKernel, tb.production_host_pair(), tb.production_path(), flows, 3
         )
         assert_bit_identical(scalar, vector)
 
@@ -207,8 +207,8 @@ class TestHypothesisParity:
     )
     def test_random_configs_bit_identical(self, flows, seed, path):
         tb = AmLightTestbed(kernel="6.8")
-        scalar = run_traced("scalar", tb.host_pair(), tb.path(path), flows, seed)
-        vector = run_traced("vector", tb.host_pair(), tb.path(path), flows, seed)
+        scalar = run_traced(ScalarKernel, tb.host_pair(), tb.path(path), flows, seed)
+        vector = run_traced(VectorKernel, tb.host_pair(), tb.path(path), flows, seed)
         assert_bit_identical(scalar, vector)
 
 
@@ -277,65 +277,78 @@ class TestTimeoutPathParity:
 
 
 class TestExperimentDigestParity:
-    def test_registered_experiment_digest_identical(self):
+    def test_registered_experiment_digest_identical(self, monkeypatch):
         """End-to-end through the harness: the committed digest form."""
         from repro.runner import RunnerConfig, run_experiments
 
-        from tests._golden import GOLDEN_CONFIG
-
-        digests = {}
-        for kernel in KERNEL_NAMES:
-            with forced_kernel(kernel):
-                report = run_experiments(
-                    ["pit-fqrate"],
-                    config=GOLDEN_CONFIG,
-                    runner=RunnerConfig(jobs=1, use_cache=False),
-                )
+        digests = set()
+        for kernel in (ScalarKernel, VectorKernel):
+            monkeypatch.setattr(FlowSimulator, "kernel_class", kernel)
+            report = run_experiments(
+                ["pit-fqrate"],
+                config=GOLDEN_CONFIG,
+                runner=RunnerConfig(jobs=1, use_cache=False),
+            )
             (result,) = report.results
-            digests[kernel] = result.digest()
-        assert digests["scalar"] == digests["vector"]
+            digests.add(result.digest())
+        assert len(digests) == 1
+
+    def test_cc_zoo_digest_identical(self, monkeypatch):
+        """The zoo's mixed-algorithm campaign, every batch group at once."""
+        from repro.experiments.registry import run_experiment
+
+        digests = set()
+        for kernel in (ScalarKernel, VectorKernel):
+            monkeypatch.setattr(FlowSimulator, "kernel_class", kernel)
+            digests.add(run_experiment("cc-zoo", SHORT_CONFIG).digest())
+        assert len(digests) == 1
+
+
+class TestTraceParity:
+    @pytest.mark.parametrize("exp_id", ["fig09", "spin-accuracy"])
+    def test_spilled_trace_and_export_byte_identical(
+        self, exp_id, tmp_path, monkeypatch
+    ):
+        """``repro trace --spill`` output is the same file under both."""
+        from repro.runner import RunnerConfig, run_experiments
+        from repro.trace.bus import TraceSpec
+
+        files = []
+        for kernel in (ScalarKernel, VectorKernel):
+            monkeypatch.setattr(FlowSimulator, "kernel_class", kernel)
+            out = tmp_path / kernel.__name__
+            runner = RunnerConfig(
+                jobs=1,
+                use_cache=False,
+                trace=TraceSpec(spill_dir=out / "spill"),
+                trace_dir=out / "export",
+            )
+            report = run_experiments(
+                [exp_id], config=GOLDEN_CONFIG, runner=runner
+            )
+            trace = report.by_id(exp_id).trace
+            files.append(
+                (trace["jsonl"].read_bytes(), trace["path"].read_bytes())
+            )
+        (scalar_jsonl, scalar_export), (vector_jsonl, vector_export) = files
+        assert scalar_jsonl == vector_jsonl
+        assert scalar_export == vector_export
 
 
 class TestSelection:
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        force_kernel(None)
-        assert kernel_name() == DEFAULT_KERNEL == "vector"
+    def test_default_is_vector(self):
+        """A fresh interpreter (no test-session swap) runs the vector kernel."""
+        import subprocess
+        import sys
 
-    def test_env_var_selects_scalar(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "scalar")
-        force_kernel(None)
-        assert kernel_name() == "scalar"
-
-    def test_env_var_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "simd")
-        force_kernel(None)
-        with pytest.raises(ConfigurationError):
-            kernel_name()
-
-    def test_force_kernel_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            force_kernel("cuda")
-
-    def test_forced_kernel_scopes_and_restores(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        force_kernel(None)
-        with forced_kernel("scalar"):
-            assert kernel_name() == "scalar"
-            with forced_kernel("vector"):
-                assert kernel_name() == "vector"
-            assert kernel_name() == "scalar"
-        assert kernel_name() == DEFAULT_KERNEL
-
-    def test_make_kernel_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            make_kernel("cuda")
-
-    def test_make_kernel_dispatch(self):
-        from repro.sim import kernels
-
-        assert kernels._KERNELS == {
-            "scalar": ScalarKernel,
-            "vector": VectorKernel,
-        }
-        assert set(KERNEL_NAMES) == set(kernels._KERNELS)
+        probe = (
+            "from repro.sim.flowsim import FlowSimulator; "
+            "print(FlowSimulator.kernel_class.__name__)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == VectorKernel.__name__

@@ -46,8 +46,8 @@ from repro.quic.spin import (
     EDGE_JITTER_FRACTION,
     replay_spin_probes,
 )
-from repro.sim.flowsim import SimProfile
-from repro.sim.kernels import forced_kernel
+from repro.sim.flowsim import FlowSimulator, SimProfile
+from repro.sim.kernels import ScalarKernel, VectorKernel
 from repro.sim.lossmodel import BurstModel, COPY_MODE_SLACK, flow_release_slack
 from repro.tcp.pacing import PacingConfig
 from repro.testbeds.amlight import AmLightTestbed
@@ -405,7 +405,7 @@ class TestReplayAndParity:
         assert runs[0].retransmit_segments == runs[1].retransmit_segments
 
     @pytest.mark.parametrize("exp_id", ["quic-pacing", "spin-accuracy"])
-    def test_digest_is_kernel_invariant(self, exp_id):
+    def test_digest_is_kernel_invariant(self, exp_id, monkeypatch):
         from repro.experiments.registry import run_experiment
         from repro.tools.harness import HarnessConfig
 
@@ -413,7 +413,7 @@ class TestReplayAndParity:
             repetitions=1, duration=1.0, omit=0.25, tick=0.008, seed=7
         )
         digests = set()
-        for kernel in ("scalar", "vector"):
-            with forced_kernel(kernel):
-                digests.add(run_experiment(exp_id, config).digest())
+        for kernel in (ScalarKernel, VectorKernel):
+            monkeypatch.setattr(FlowSimulator, "kernel_class", kernel)
+            digests.add(run_experiment(exp_id, config).digest())
         assert len(digests) == 1

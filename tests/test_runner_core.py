@@ -12,18 +12,19 @@ the core to agree with it across seeds, policies, crash histories, and
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import RunnerError
+from repro.core.errors import ConfigurationError, RunnerError
 from repro.core.rng import RngFactory
 from repro.experiments.base import ExperimentResult
 from repro.runner import (
     BackoffSchedule,
-    PersistentPoolTransport,
+    PoolTransport,
     RetryPolicy,
     RunnerConfig,
     SchedulerCore,
@@ -352,7 +353,7 @@ class TestTransports:
         assert digest == load_golden("var")["digest"]
 
     def test_persistent_pool_is_reused_across_rounds(self):
-        transport = PersistentPoolTransport(jobs=2)
+        transport = PoolTransport(jobs=2)
         try:
             spec = TaskSpec(exp_id="var", config=GOLDEN_CONFIG)
             first, _ = transport.run_round([(0, spec, "")])
@@ -372,7 +373,7 @@ class TestTransports:
     ):
         sentinel = tmp_path / "crashed-once"
         monkeypatch.setenv(CRASH_ONCE_ENV, f"var:{sentinel}")
-        transport = PersistentPoolTransport(jobs=2)
+        transport = PoolTransport(jobs=2)
         try:
             spec = TaskSpec(exp_id="var", config=GOLDEN_CONFIG)
             pending = [(0, spec, "")]
@@ -390,12 +391,12 @@ class TestTransports:
             transport.close()
 
     def test_run_tasks_digest_parity_across_transports(self):
-        # The acceptance invariant, at the runner level: the persistent
+        # The acceptance invariant, at the runner level: a caller-owned
         # warm pool (the daemon's transport) must produce byte-identical
         # results to the inline baseline.
         specs = [TaskSpec(exp_id="var", config=GOLDEN_CONFIG)]
         inline = run_tasks(specs, RunnerConfig(jobs=1, use_cache=False))
-        persistent = PersistentPoolTransport(jobs=2)
+        persistent = PoolTransport(jobs=2)
         try:
             warm = run_tasks(
                 specs,
@@ -409,3 +410,54 @@ class TestTransports:
             == warm.tasks[0].result.digest()
             == load_golden("var")["digest"]
         )
+
+    def test_campaign_runs_on_one_pool_rebuilt_once_after_crash(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.runner.scheduler as scheduler
+        import repro.runner.transport as transport_mod
+
+        transports: list = []
+        pools: list = []
+
+        class RecordingTransport(PoolTransport):
+            def __init__(self, jobs: int) -> None:
+                super().__init__(jobs)
+                transports.append(self)
+
+        class RecordingPool(transport_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(scheduler, "PoolTransport", RecordingTransport)
+        monkeypatch.setattr(transport_mod, "ProcessPoolExecutor", RecordingPool)
+        sentinel = tmp_path / "crashed-once"
+        monkeypatch.setenv(CRASH_ONCE_ENV, f"var:{sentinel}")
+        ids = ["var", "pit-fqrate"]
+        report = run_tasks(
+            [TaskSpec(exp_id, GOLDEN_CONFIG) for exp_id in ids],
+            RunnerConfig(jobs=2, use_cache=False, retry_backoff=0.01),
+        )
+        assert sentinel.exists()  # the crash really happened
+        (transport,) = transports  # one transport for the whole campaign
+        assert transport.jobs == 2
+        assert transport.rebuilds == 1  # the crash round, and only it
+        assert len(pools) == 2  # the first pool and its one rebuild
+        assert transport._pool is None  # closed on return
+        assert report.by_id("var").attempts == 2
+        for exp_id in ids:
+            digest = report.by_id(exp_id).result.digest()
+            assert digest == load_golden(exp_id)["digest"]
+
+    def test_experiment_error_leaves_no_live_workers(self):
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ConfigurationError):
+            run_tasks(
+                [
+                    TaskSpec("no-such-exp", GOLDEN_CONFIG),
+                    TaskSpec("var", GOLDEN_CONFIG),
+                ],
+                RunnerConfig(jobs=2, use_cache=False),
+            )
+        assert set(multiprocessing.active_children()) <= before

@@ -199,3 +199,62 @@ class TestConnectionReuse:
             assert all(a["ok"] for a in answers)
         finally:
             conn.close()
+
+
+#: Runs ``repro serve`` with every connection handler held inside
+#: ``writer.wait_closed()`` (printing ``parked`` when it gets there), so
+#: a SIGINT lands in the window right after a client hangs up every
+#: time instead of by chance.
+_HELD_OPEN = """
+import asyncio, sys
+
+async def parked(self):
+    print("parked", flush=True)
+    await asyncio.sleep(3600)
+
+asyncio.StreamWriter.wait_closed = parked
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestShutdown:
+    @pytest.mark.parametrize("held_open", [False, True], ids=["plain", "held-open"])
+    def test_sigint_after_client_hangup_exits_cleanly(self, tmp_path, held_open):
+        import re
+        import signal
+        import socket
+        import subprocess
+        import sys
+        import threading
+
+        entry = ["-c", _HELD_OPEN] if held_open else ["-m", "repro.cli"]
+        proc = subprocess.Popen(
+            [sys.executable, *entry, "serve", "--port", "0", "--workers", "1",
+             "--cache-dir", str(tmp_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        # Bounds the blocking reads below: a hung daemon is killed, its
+        # pipes close, and the assertions fail instead of hanging.
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        try:
+            banner = proc.stdout.readline()
+            port = int(re.search(r"http://[^:]+:(\d+)", banner).group(1))
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+            if held_open:
+                assert proc.stdout.readline().strip() == "parked"
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err, err
+        assert "shutting down" in out

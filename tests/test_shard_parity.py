@@ -28,7 +28,6 @@ from repro.core.rng import RngFactory
 from repro.sim.flowsim import FlowSpec, SimProfile
 from repro.sim.shard import (
     BLOCK_FLOWS,
-    ENV_VAR,
     FlowPopulation,
     ShardedFlowSimulator,
     ShardPlan,
@@ -293,29 +292,15 @@ class TestPartitioning:
 
 
 class TestSelection:
-    def test_default_is_one_shard(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_default_is_one_shard(self):
         force_shards(None)
         assert shard_count() == 1
-
-    def test_env_var_selects_count(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "4")
-        force_shards(None)
-        assert shard_count() == 4
-
-    def test_env_var_rejects_garbage(self, monkeypatch):
-        force_shards(None)
-        for raw in ("zero", "0", "-2"):
-            monkeypatch.setenv(ENV_VAR, raw)
-            with pytest.raises(ConfigurationError):
-                shard_count()
 
     def test_force_shards_rejects_nonpositive(self):
         with pytest.raises(ConfigurationError):
             force_shards(0)
 
-    def test_forced_shards_scopes_and_restores(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_forced_shards_scopes_and_restores(self):
         force_shards(None)
         with forced_shards(3):
             assert shard_count() == 3

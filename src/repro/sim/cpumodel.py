@@ -389,18 +389,21 @@ class SenderCostBatch:
     def __init__(self, models: list[CpuCostModel]) -> None:
         m0 = models[0]
         self._cpu = m0._cpu
-        self._app_scale = _uniform(m._app_scale for m in models)
-        self._irq_scale = _uniform(m._irq_scale for m in models)
-        self._batch_scale = _uniform(m._batch_scale for m in models)
-        self._core_budget = _uniform(m._core_budget for m in models)
-        self._gso = max(1.0, _uniform(m.geometry.gso_size for m in models))
-        self._send_block = _uniform(m.send_block for m in models)
+        # Uniformity is a property of the distinct model objects; the
+        # sharded path repeats one object per flow class up to 100k times.
+        distinct = list(dict.fromkeys(models))
+        self._app_scale = _uniform(m._app_scale for m in distinct)
+        self._irq_scale = _uniform(m._irq_scale for m in distinct)
+        self._batch_scale = _uniform(m._batch_scale for m in distinct)
+        self._core_budget = _uniform(m._core_budget for m in distinct)
+        self._gso = max(1.0, _uniform(m.geometry.gso_size for m in distinct))
+        self._send_block = _uniform(m.send_block for m in distinct)
         self.zc_mask = np.array([m.zc_model is not None for m in models])
         self._any_zc = bool(self.zc_mask.any())
         self._max_inflight = 0.0
         if self._any_zc:
             self._max_inflight = _uniform(
-                m.zc_model.max_inflight_bytes for m in models if m.zc_model
+                m.zc_model.max_inflight_bytes for m in distinct if m.zc_model
             )
         # Scalar coefficients hoisted out of the per-tick calls — pure
         # functions of model constants, so the values (and therefore
@@ -560,12 +563,13 @@ class ReceiverCostBatch:
         m0 = models[0]
         cpu = m0._cpu
         self._cpu = cpu
-        self._app_scale = _uniform(m._app_scale for m in models)
-        self._irq_scale = _uniform(m._irq_scale for m in models)
-        self._batch_scale = _uniform(m._batch_scale for m in models)
-        self._send_block = _uniform(m.send_block for m in models)
-        self._mss = _uniform(m.geometry.mss for m in models)
-        self._gro_size = _uniform(m.geometry.gro_size for m in models)
+        distinct = list(dict.fromkeys(models))  # see SenderCostBatch
+        self._app_scale = _uniform(m._app_scale for m in distinct)
+        self._irq_scale = _uniform(m._irq_scale for m in distinct)
+        self._batch_scale = _uniform(m._batch_scale for m in distinct)
+        self._send_block = _uniform(m.send_block for m in distinct)
+        self._mss = _uniform(m.geometry.mss for m in distinct)
+        self._gro_size = _uniform(m.geometry.gro_size for m in distinct)
         self.skip_mask = np.array([m.skip_rx_copy for m in models])
         pkt_cost = cpu.rx_pkt_cyc
         copy_factor = 1.0

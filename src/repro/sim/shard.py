@@ -33,6 +33,18 @@ carry the guarantee:
   worker owns block ``b`` consumes exactly the same stream in exactly
   the same order.
 
+Drop placement
+--------------
+Drop volumes land on one or two victims per block, drawn by
+inverse-CDF sampling over the block's lanes.  The worker places every
+block at once (:func:`_place_block_drops`): one draw per block carrying
+a volume (two uniforms per volume, train first, then standing), a
+row-wise cumsum over the ``[blocks, BLOCK_FLOWS]`` view, victims found
+by comparison count, and one ``np.add.at`` scatter.
+:func:`_concentrate_block` is the per-block form it replaced; it stays
+as the reference the tests check the segmented form against bit for
+bit, generator states included.
+
 The engine is its own canon: it transcribes the
 :class:`~repro.sim.flowsim.FlowSimulator` physics per lane, but drop
 concentration and weight draws are per-block rather than global, so its
@@ -242,6 +254,10 @@ def _concentrate_block(
     of the basis, so the per-block draw count (the shard-invariance
     anchor) never depends on lane data; coinciding victims merge their
     shares, concentrating further, never less.
+
+    The engine runs :func:`_place_block_drops`, which places every
+    block at once; this per-block form is the reference the tests hold
+    it to.
     """
     cdf = np.cumsum(basis[lo : lo + BLOCK_FLOWS])
     total = float(cdf[-1])
@@ -255,6 +271,86 @@ def _concentrate_block(
     else:
         out[lo + v0] += volume * 0.7  # repro: noqa-SHARD001
         out[lo + v1] += volume * 0.3  # repro: noqa-SHARD001
+
+
+def _place_block_drops(
+    out: np.ndarray,
+    drop_rngs: Sequence[np.random.Generator],
+    u_rows: np.ndarray,
+    train_vols: np.ndarray,
+    std_vols: np.ndarray,
+    trains_basis: np.ndarray,
+    std_basis: np.ndarray,
+) -> None:
+    """Segmented drop placement for a run of blocks, written to ``out``.
+
+    Bit for bit the loop that calls :func:`_concentrate_block` per
+    block, train volume first, then standing volume.  A block's one
+    ``random(out=...)`` call into its ``u_rows`` row makes the draws
+    the two reference calls make, in the same order.  Per lane the
+    scatter is the reference fold: at most one train share, then at
+    most one standing share, added to +0.0.
+    """
+    out.fill(0.0)
+    has_train = train_vols > 0.0
+    has_std = std_vols > 0.0
+    carries = np.flatnonzero(has_train | has_std)
+    if carries.size == 0:
+        return
+    # Row columns [0, 2) hold the train pair, [2, 4) the standing pair;
+    # a block with one volume fills only that pair.
+    first = np.where(has_train[carries], 0, 2).tolist()
+    last = np.where(has_std[carries], 4, 2).tolist()
+    for j, a, b in zip(carries.tolist(), first, last):
+        drop_rngs[j].random(out=u_rows[j, a:b])
+    lanes_t, shares_t = _segmented_victims(
+        trains_basis, has_train, train_vols, u_rows[:, 0:2]
+    )
+    lanes_s, shares_s = _segmented_victims(
+        std_basis, has_std, std_vols, u_rows[:, 2:4]
+    )
+    np.add.at(
+        out,
+        np.concatenate((lanes_t, lanes_s)),
+        np.concatenate((shares_t, shares_s)),
+    )
+
+
+def _segmented_victims(
+    basis: np.ndarray,
+    has_volume: np.ndarray,
+    volumes: np.ndarray,
+    uniforms: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Victim lanes and shares for every block carrying a volume.
+
+    The segmented form of :func:`_concentrate_block`: one row-wise
+    cumsum over the ``[blocks, BLOCK_FLOWS]`` view gives each block's
+    CDF (the same sequential accumulation as the 1-D cumsum), and a
+    victim is the count of CDF entries ``<= x * total`` — what
+    ``searchsorted(side="right")`` returns on a nondecreasing row.
+    Offsetting rows into one global CDF would round, so the rows stay
+    separate.  Every row is searched (gathering the carrying rows costs
+    more than searching the rest); rows without a volume, and
+    zero-total rows, which consumed their draws, place nothing.
+    Returns ``(lanes, shares)``: every first victim, then every
+    distinct second victim, in block order.
+    """
+    cdf = np.cumsum(basis.reshape(-1, BLOCK_FLOWS), axis=1)
+    total = cdf[:, -1]
+    # Rows without a volume drew nothing this time: search them at 0.
+    x = np.where(has_volume[:, None], uniforms, 0.0) * total[:, None]
+    v0 = np.count_nonzero(cdf <= x[:, 0:1], axis=1)
+    v1 = np.count_nonzero(cdf <= x[:, 1:2], axis=1)
+    rows = np.flatnonzero(has_volume & ~(total <= 0.0))
+    v0, v1, volume = v0[rows], v1[rows], volumes[rows]
+    lo = rows * BLOCK_FLOWS
+    split = v0 != v1
+    lanes = np.concatenate((lo + v0, (lo + v1)[split]))
+    shares = np.concatenate(
+        (np.where(split, volume * 0.7, volume), volume[split] * 0.3)
+    )
+    return lanes, shares
 
 
 # ----------------------------------------------------------------------
@@ -439,9 +535,14 @@ class _ShardWorker:
         self.mask_f1 = np.empty(m)
         self.mask_b1 = np.empty(m, dtype=bool)
         self.mask_b2 = np.empty(m, dtype=bool)
-        self.zw_all = np.empty(m)
-        self.zt_all = np.empty(m)
         self.t_buf = np.empty(m)
+        # One row per block: its 2*BLOCK_FLOWS burst normals (weights
+        # jitter, then train scale) and its drop uniforms (train pair,
+        # then standing pair).  t_rows views t_buf block by block.
+        n_blocks = self.b1 - self.b0
+        self.z_rows = np.empty((n_blocks, 2 * BLOCK_FLOWS))
+        self.t_rows = self.t_buf.reshape(n_blocks, BLOCK_FLOWS)
+        self.u_rows = np.empty((n_blocks, 4))
         self.w_buf = np.empty(m)
         self.trains_buf = np.empty(m)
         # The arrays this tick's draws landed in (fast path aliases the
@@ -483,22 +584,25 @@ class _ShardWorker:
             self.trains = self.zero_trains
         else:
             # One fixed-size draw per *block* from that block's own
-            # stream: z[:BLOCK_FLOWS] jitters the max-min weights,
-            # z[BLOCK_FLOWS:] scales the packet trains — the same split
-            # as the driver's fused tick_draw, per block.
-            for j, gen in enumerate(self.burst_rngs):
-                lanes = slice(j * BLOCK_FLOWS, (j + 1) * BLOCK_FLOWS)
-                z = gen.standard_normal(2 * BLOCK_FLOWS)
-                self.zw_all[lanes] = z[:BLOCK_FLOWS]
-                self.zt_all[lanes] = z[BLOCK_FLOWS:]
+            # stream, straight into the block's row: the first
+            # BLOCK_FLOWS columns jitter the max-min weights, the rest
+            # scale the packet trains — the same split as the driver's
+            # fused tick_draw, per block.
+            z_rows = self.z_rows
+            for gen, row in zip(self.burst_rngs, z_rows):
+                gen.standard_normal(out=row)
             t = self.t_buf
-            np.multiply(self.zw_all, BurstModel.TICK_WEIGHT_SIGMA, out=t)
+            np.multiply(
+                z_rows[:, :BLOCK_FLOWS],
+                BurstModel.TICK_WEIGHT_SIGMA,
+                out=self.t_rows,
+            )
             np.exp(t, out=t)
             np.subtract(t, 1.0, out=t)
             np.multiply(self.slacks, t, out=t)
             np.add(t, 1.0, out=t)
             self.w = np.multiply(self.persistent_w, t, out=self.w_buf)
-            np.multiply(self.zt_all, BURST_SIGMA, out=t)
+            np.multiply(z_rows[:, BLOCK_FLOWS:], BURST_SIGMA, out=self.t_rows)
             np.add(t, -(BURST_SIGMA**2) / 2.0, out=t)
             np.exp(t, out=t)
             np.multiply(self.slacks, t, out=t)
@@ -566,24 +670,18 @@ class _ShardWorker:
         The volumes (written by the coordinator into ``train_col`` /
         ``std_col``) are global quantities apportioned per block, so
         the per-block draw counts — hence the drop streams — are
-        shard-count-invariant.  Draw order within a block is fixed:
-        train drops, then standing-queue drops.
+        shard-count-invariant.
         """
-        out.fill(0.0)
-        ex = self.ex
-        for j in range(self.b1 - self.b0):
-            block = self.b0 + j
-            lo = j * BLOCK_FLOWS
-            v_train = float(ex[block, train_col])
-            if v_train > 0.0:
-                _concentrate_block(
-                    self.drop_rngs[j], trains_basis, lo, v_train, out
-                )
-            v_std = float(ex[block, std_col])
-            if v_std > 0.0:
-                _concentrate_block(
-                    self.drop_rngs[j], std_basis, lo, v_std, out
-                )
+        vols = self.ex[self.rows]
+        _place_block_drops(
+            out,
+            self.drop_rngs,
+            self.u_rows,
+            vols[:, train_col],
+            vols[:, std_col],
+            trains_basis,
+            std_basis,
+        )
 
     def round_drops1(self) -> None:
         ex, rows = self.ex, self.rows

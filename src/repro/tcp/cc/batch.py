@@ -33,10 +33,14 @@ compared across kernels.  Three rules make that provable:
   the same association (e.g. ``C * (d * d * d)`` — see
   :meth:`~repro.tcp.cc.cubic.Cubic._w_cubic_seg` — because elementwise
   float64 ``+ - * /`` round identically in numpy ufuncs and CPython);
-* rare per-event work (loss reactions and RTO collapses, which need
-  real cube roots or per-flow branches) stays scalar: it loops over the
-  handful of affected flows running the same arithmetic the object
-  method runs;
+* loss reactions run once per group per tick over the reacting flows
+  (``_ArrayGroup.loss``): the rate-limit gate and the reaction become
+  masked array updates, branches become ``np.where`` selects, and the
+  one transcendental (CUBIC's cube root for ``K``) is evaluated with
+  Python's float ``**`` over ``.tolist()`` — numpy's vectorized power
+  and cbrt round differently from libm on some hosts.  RTO collapses
+  stay scalar: they loop over the handful of affected flows running
+  the same arithmetic the object method runs;
 * algorithms whose state does not vectorize (BBR's windowed-max deques)
   fall back to the scalar objects inside an :class:`_ObjectGroup`, so
   they are not merely equivalent but literally the same code.
@@ -201,13 +205,36 @@ class _ArrayGroup:
             self.any_ss = bool(self.in_ss.any())
         return ex
 
-    def _loss_gate(self, now: float, rtt: float, pos: int) -> bool:
-        """Rate limit mirroring ``CongestionControl.on_loss``."""
-        if now - self.last_loss[pos] < CongestionControl.LOSS_REACTION_RTTS * rtt:
-            return False
-        self.last_loss[pos] = now
-        self.loss_events[pos] += 1
-        return True
+    def loss(
+        self, now: float, rtt: float, positions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Loss reactions for the flows at ``positions`` (distinct).
+
+        The gate and the reaction of ``CongestionControl.on_loss`` as
+        masked array updates.  Returns ``(hit, before, after)``: which
+        positions reacted (those not gated by ``LOSS_REACTION_RTTS``),
+        and their windows before and after, in ``positions`` order.
+        """
+        gated = np.subtract(now, self.last_loss[positions]) < (
+            CongestionControl.LOSS_REACTION_RTTS * rtt
+        )
+        hit = ~gated
+        p = positions[hit]
+        before = self.cwnd[p]
+        if p.size:
+            self.last_loss[p] = now
+            self.loss_events[p] += 1
+            self._react(now, p)
+        return hit, before, self.cwnd[p]
+
+    def _react(self, now: float, p: np.ndarray) -> None:
+        """Algorithm-specific loss reaction for the reacting ``p``."""
+        raise NotImplementedError
+
+    def _leave_slow_start(self, p: np.ndarray) -> None:
+        if self.any_ss and self.in_ss[p].any():
+            self.in_ss[p] = False
+            self.any_ss = bool(self.in_ss.any())
 
     def timeout_one(self, now: float, pos: int) -> tuple[float, float]:
         """Scalar transcription of ``CongestionControl.on_timeout`` for
@@ -297,8 +324,8 @@ class _CubicBatch(_ArrayGroup):
     def _alpha_at(self, sel: np.ndarray):
         return self._alpha
 
-    def _loss_params(self, pos: int) -> tuple[float, float]:
-        return self._c, self._beta
+    def _beta_at(self, sel: np.ndarray):
+        return self._beta
 
     # -----------------------------------------------------------------------
 
@@ -386,32 +413,29 @@ class _CubicBatch(_ArrayGroup):
                 # app-limited wall time (legitimate duration integral).
                 self.epoch[slide] += dt  # repro: noqa-FLOAT002
 
-    def loss_one(self, now: float, rtt: float, pos: int):
-        """Scalar transcription of ``Cubic._react_to_loss`` for one flow."""
-        if not self._loss_gate(now, rtt, pos):
-            return None
-        c, beta = self._loss_params(pos)
-        before = float(self.cwnd[pos])
-        w_seg = self.cwnd[pos] / self.mss
-        if w_seg < self.w_max[pos]:
-            w_max = w_seg * (1.0 + beta) / 2.0
-        else:
-            w_max = w_seg
-        self.cwnd[pos] = max(2 * self.mss, self.cwnd[pos] * beta)
-        self.ssthresh[pos] = self.cwnd[pos]
-        if self.in_ss[pos]:
-            self.in_ss[pos] = False
-            self.any_ss = bool(self.in_ss.any())
-        w_start = self.cwnd[pos] / self.mss
-        self.w_max[pos] = w_max
-        delta = max(0.0, (w_max - w_start) / c)
-        self.k[pos] = delta ** (1.0 / 3.0)
-        self.epoch[pos] = now
-        if not self.epoch_open[pos]:
-            self.epoch_open[pos] = True
-            self.n_open += 1
-        self.w_est[pos] = w_start
-        return before, float(self.cwnd[pos])
+    def _react(self, now: float, p: np.ndarray) -> None:
+        """Transcription of ``Cubic._react_to_loss``, lane by lane."""
+        c, beta = self._c_at(p), self._beta_at(p)
+        w_seg = self.cwnd[p] / self.mss
+        # Fast convergence: a lower peak than last time remembers a
+        # further-reduced W_max.
+        w_max = np.where(
+            w_seg < self.w_max[p], w_seg * (1.0 + beta) / 2.0, w_seg
+        )
+        cwnd = np.maximum(2 * self.mss, self.cwnd[p] * beta)
+        self.cwnd[p] = cwnd
+        self.ssthresh[p] = cwnd
+        self._leave_slow_start(p)
+        w_start = cwnd / self.mss
+        self.w_max[p] = w_max
+        delta = np.maximum(0.0, (w_max - w_start) / c)
+        # Python's float ** (libm pow), as the scalar class computes K:
+        # numpy's vectorized power/cbrt round differently on some hosts.
+        self.k[p] = [d ** (1.0 / 3.0) for d in delta.tolist()]
+        self.epoch[p] = now
+        self.n_open += int(np.count_nonzero(~self.epoch_open[p]))
+        self.epoch_open[p] = True
+        self.w_est[p] = w_start
 
     def _timeout_reset(self, now: float, pos: int) -> None:
         """Mirror of ``Cubic._react_to_timeout``: forget the epoch."""
@@ -450,16 +474,11 @@ class _RenoBatch(_ArrayGroup):
                 cw = self.cwnd[ci]
                 self.cwnd[ci] = cw + self.mss * (d[ci] / cw)
 
-    def loss_one(self, now: float, rtt: float, pos: int):
-        if not self._loss_gate(now, rtt, pos):
-            return None
-        before = float(self.cwnd[pos])
-        self.ssthresh[pos] = max(2 * self.mss, self.cwnd[pos] * Reno.BETA)
-        self.cwnd[pos] = self.ssthresh[pos]
-        if self.in_ss[pos]:
-            self.in_ss[pos] = False
-            self.any_ss = bool(self.in_ss.any())
-        return before, float(self.cwnd[pos])
+    def _react(self, now: float, p: np.ndarray) -> None:
+        ssthresh = np.maximum(2 * self.mss, self.cwnd[p] * Reno.BETA)
+        self.ssthresh[p] = ssthresh
+        self.cwnd[p] = ssthresh
+        self._leave_slow_start(p)
 
 
 @batch_stepper(HighSpeed)
@@ -493,18 +512,13 @@ class _HighSpeedBatch(_ArrayGroup):
                 a = A_STEP[np.searchsorted(W_BOUNDS, cw / self.mss, side="right")]
                 self.cwnd[ci] = cw + a * (self.mss * (d[ci] / cw))
 
-    def loss_one(self, now: float, rtt: float, pos: int):
-        if not self._loss_gate(now, rtt, pos):
-            return None
-        before = float(self.cwnd[pos])
-        w_seg = self.cwnd[pos] / self.mss
-        b = float(B_STEP[int(np.searchsorted(W_BOUNDS, w_seg, side="right"))])
-        self.cwnd[pos] = max(2 * self.mss, self.cwnd[pos] * (1.0 - b))
-        self.ssthresh[pos] = self.cwnd[pos]
-        if self.in_ss[pos]:
-            self.in_ss[pos] = False
-            self.any_ss = bool(self.in_ss.any())
-        return before, float(self.cwnd[pos])
+    def _react(self, now: float, p: np.ndarray) -> None:
+        cw = self.cwnd[p]
+        b = B_STEP[np.searchsorted(W_BOUNDS, cw / self.mss, side="right")]
+        cwnd = np.maximum(2 * self.mss, cw * (1.0 - b))
+        self.cwnd[p] = cwnd
+        self.ssthresh[p] = cwnd
+        self._leave_slow_start(p)
 
 
 @batch_stepper(HTcp)
@@ -574,28 +588,25 @@ class _HtcpBatch(_ArrayGroup):
                 # app-limited wall time (legitimate duration integral).
                 self.start[slide] += dt  # repro: noqa-FLOAT002
 
-    def loss_one(self, now: float, rtt: float, pos: int):
-        if not self._loss_gate(now, rtt, pos):
-            return None
-        before = float(self.cwnd[pos])
-        if self.rtt_max[pos] > 0.0:
-            beta = self.rtt_min[pos] / self.rtt_max[pos]
-            if beta < HTcp.BETA_MIN:
-                beta = HTcp.BETA_MIN
-            elif beta > HTcp.BETA_MAX:
-                beta = HTcp.BETA_MAX
-        else:
-            beta = HTcp.BETA_MIN
-        self.cwnd[pos] = max(2 * self.mss, self.cwnd[pos] * beta)
-        self.ssthresh[pos] = self.cwnd[pos]
-        if self.in_ss[pos]:
-            self.in_ss[pos] = False
-            self.any_ss = bool(self.in_ss.any())
-        self.start[pos] = now
-        self.started[pos] = True
-        self.rtt_min[pos] = float("inf")
-        self.rtt_max[pos] = 0.0
-        return before, float(self.cwnd[pos])
+    def _react(self, now: float, p: np.ndarray) -> None:
+        rtt_max = self.rtt_max[p]
+        beta = np.full(p.size, HTcp.BETA_MIN)
+        sampled = rtt_max > 0.0
+        if sampled.any():
+            # Branch selects, not arithmetic: the scalar if/elif clip.
+            ratio = self.rtt_min[p[sampled]] / rtt_max[sampled]
+            ratio = np.where(ratio < HTcp.BETA_MIN, HTcp.BETA_MIN, ratio)
+            beta[sampled] = np.where(
+                ratio > HTcp.BETA_MAX, HTcp.BETA_MAX, ratio
+            )
+        cwnd = np.maximum(2 * self.mss, self.cwnd[p] * beta)
+        self.cwnd[p] = cwnd
+        self.ssthresh[p] = cwnd
+        self._leave_slow_start(p)
+        self.start[p] = now
+        self.started[p] = True
+        self.rtt_min[p] = float("inf")
+        self.rtt_max[p] = 0.0
 
     def _timeout_reset(self, now: float, pos: int) -> None:
         """Mirror of ``HTcp._react_to_timeout``: drop the epoch clock."""
@@ -629,16 +640,11 @@ class _ScalableBatch(_ArrayGroup):
                 cw = self.cwnd[ci]
                 self.cwnd[ci] = cw + Scalable.AI * d[ci]
 
-    def loss_one(self, now: float, rtt: float, pos: int):
-        if not self._loss_gate(now, rtt, pos):
-            return None
-        before = float(self.cwnd[pos])
-        self.cwnd[pos] = max(2 * self.mss, self.cwnd[pos] * Scalable.BETA)
-        self.ssthresh[pos] = self.cwnd[pos]
-        if self.in_ss[pos]:
-            self.in_ss[pos] = False
-            self.any_ss = bool(self.in_ss.any())
-        return before, float(self.cwnd[pos])
+    def _react(self, now: float, p: np.ndarray) -> None:
+        cwnd = np.maximum(2 * self.mss, self.cwnd[p] * Scalable.BETA)
+        self.cwnd[p] = cwnd
+        self.ssthresh[p] = cwnd
+        self._leave_slow_start(p)
 
 
 @batch_stepper(WestwoodPlus)
@@ -707,17 +713,17 @@ class _WestwoodBatch(_ArrayGroup):
             return 0.0
         return self.bw[pos] * self.rtt_min[pos]
 
-    def loss_one(self, now: float, rtt: float, pos: int):
-        if not self._loss_gate(now, rtt, pos):
-            return None
-        before = float(self.cwnd[pos])
-        self.ssthresh[pos] = max(2 * self.mss, self._bdp_at(pos))
-        if self.cwnd[pos] > self.ssthresh[pos]:
-            self.cwnd[pos] = self.ssthresh[pos]
-        if self.in_ss[pos]:
-            self.in_ss[pos] = False
-            self.any_ss = bool(self.in_ss.any())
-        return before, float(self.cwnd[pos])
+    def _react(self, now: float, p: np.ndarray) -> None:
+        # ``_bdp_at`` lane by lane: 0 before any RTT sample.
+        rtt_min = self.rtt_min[p]
+        sampled = rtt_min != float("inf")
+        bdp = np.zeros(p.size)
+        bdp[sampled] = self.bw[p[sampled]] * rtt_min[sampled]
+        ssthresh = np.maximum(2 * self.mss, bdp)
+        self.ssthresh[p] = ssthresh
+        cw = self.cwnd[p]
+        self.cwnd[p] = np.where(cw > ssthresh, ssthresh, cw)
+        self._leave_slow_start(p)
 
     def _timeout_reset(self, now: float, pos: int) -> None:
         """Mirror of ``WestwoodPlus._react_to_timeout``."""
@@ -752,8 +758,8 @@ class _TunableCubicBatch(_CubicBatch):
     def _alpha_at(self, sel: np.ndarray):
         return self._alpha[sel]
 
-    def _loss_params(self, pos: int) -> tuple[float, float]:
-        return float(self._c[pos]), float(self._beta[pos])
+    def _beta_at(self, sel: np.ndarray):
+        return self._beta[sel]
 
 
 class _ObjectGroup:
@@ -783,12 +789,21 @@ class _ObjectGroup:
             else:
                 cc.on_tick(now, dt, delivered[i], rtt)
 
-    def loss_one(self, now: float, rtt: float, pos: int):
-        cc = self.ccs[pos]
-        before = float(cc.cwnd_bytes)
-        if cc.on_loss(now, rtt):
-            return before, float(cc.cwnd_bytes)
-        return None
+    def loss(
+        self, now: float, rtt: float, positions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Same contract as :meth:`_ArrayGroup.loss`, object by object."""
+        hit = np.zeros(positions.size, dtype=bool)
+        before: list[float] = []
+        after: list[float] = []
+        for k, pos in enumerate(positions.tolist()):
+            cc = self.ccs[pos]
+            cwnd = float(cc.cwnd_bytes)
+            if cc.on_loss(now, rtt):
+                hit[k] = True
+                before.append(cwnd)
+                after.append(float(cc.cwnd_bytes))
+        return hit, np.array(before), np.array(after)
 
     def timeout_one(self, now: float, pos: int) -> tuple[float, float]:
         cc = self.ccs[pos]
@@ -833,11 +848,7 @@ class CcBatch:
             self._groups.append(
                 _ObjectGroup(np.array(other), [ccs[i] for i in other])
             )
-        # flow index -> (owning group, position within the group)
-        self._owner: dict[int, tuple] = {}
-        for grp in self._groups:
-            for pos, i in enumerate(grp.idx):
-                self._owner[int(i)] = (grp, pos)
+        self._index_owners(len(ccs))
         #: Whether any flow imposes its own pacing rate (only scalar
         #: object CCs like BBR do); lets the kernel skip the fold.
         self.self_paced = any(
@@ -903,16 +914,21 @@ class CcBatch:
             self._groups.append(grp)
             self.cwnd[idx] = template.cwnd_bytes
             self.needs_validation[idx] = template.needs_cwnd_validation
-        self._owner = {}
-        for grp in self._groups:
-            for pos, i in enumerate(grp.idx):
-                self._owner[int(i)] = (grp, pos)
+        self._index_owners(n)
         self.self_paced = False
         if len(self._groups) == 1:
             grp = self._groups[0]
             grp.full = True
             self.cwnd = grp.cwnd
         return self
+
+    def _index_owners(self, n: int) -> None:
+        """Per-flow owning group and position within it, as arrays."""
+        self._group_of = np.empty(n, dtype=np.intp)
+        self._pos_of = np.empty(n, dtype=np.intp)
+        for g, grp in enumerate(self._groups):
+            self._group_of[grp.idx] = g
+            self._pos_of[grp.idx] = np.arange(grp.idx.size)
 
     def pacing(self, rtt: float, pace: np.ndarray) -> None:
         """Fold self-imposed (BBR) pacing rates into ``pace`` in place."""
@@ -931,18 +947,17 @@ class CcBatch:
     ) -> list[tuple[int, float, float]]:
         """One tick of congestion feedback for every flow.
 
-        Applies loss reactions for ``loss_idx`` (ascending), then the
-        window advance (tick or app-limited freeze), then the socket
-        clamp — the same flow-local order as the scalar loop.  Returns
-        ``(flow, cwnd_before, cwnd_after)`` per *reacted* loss, for the
-        driver's ``cc.loss`` trace events.
+        Applies loss reactions for ``loss_idx`` (distinct flows), then
+        the window advance (tick or app-limited freeze), then the socket
+        clamp — the same flow-local order as the scalar loop.  Each
+        group reacts to its share of the losses in one batched call.
+        Returns ``(flow, cwnd_before, cwnd_after)`` per *reacted* loss,
+        in ``loss_idx`` order, for the driver's ``cc.loss`` trace
+        events.
         """
         reacted: list[tuple[int, float, float]] = []
-        for i in loss_idx:
-            grp, pos = self._owner[int(i)]
-            res = grp.loss_one(now, rtt, pos)
-            if res is not None:
-                reacted.append((int(i), res[0], res[1]))
+        if loss_idx.size:
+            reacted = self._losses(now, rtt, loss_idx)
         for grp in self._groups:
             grp.tick(now, dt, rtt, delivered, al_mask)
             grp.clamp(max_window)
@@ -959,9 +974,32 @@ class CcBatch:
         """
         reacted: list[tuple[int, float, float]] = []
         for i in idx:
-            grp, pos = self._owner[int(i)]
-            before, after = grp.timeout_one(now, pos)
+            grp = self._groups[self._group_of[i]]
+            before, after = grp.timeout_one(now, int(self._pos_of[i]))
             reacted.append((int(i), before, after))
         for grp in self._groups:
             grp.sync(self.cwnd)
         return reacted
+
+    def _losses(
+        self, now: float, rtt: float, loss_idx: np.ndarray
+    ) -> list[tuple[int, float, float]]:
+        """Per-group batched loss reactions, merged in ``loss_idx`` order."""
+        hit = np.zeros(loss_idx.size, dtype=bool)
+        before = np.empty(loss_idx.size)
+        after = np.empty(loss_idx.size)
+        owner = self._group_of[loss_idx]
+        positions = self._pos_of[loss_idx]
+        for g, grp in enumerate(self._groups):
+            at = np.flatnonzero(owner == g)
+            if not at.size:
+                continue
+            grp_hit, grp_before, grp_after = grp.loss(now, rtt, positions[at])
+            at = at[grp_hit]
+            hit[at] = True
+            before[at] = grp_before
+            after[at] = grp_after
+        flows = loss_idx[hit]
+        before = before[hit]
+        after = after[hit]
+        return list(zip(flows.tolist(), before.tolist(), after.tolist()))

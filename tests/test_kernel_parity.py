@@ -244,24 +244,38 @@ class TestTimeoutPathParity:
         kern.cwnd = kern.batch.cwnd
         return kern
 
-    def test_timeout_schedule_bit_identical(self):
+    @pytest.mark.parametrize(
+        "copies, loss_p, rtt_swing",
+        [
+            pytest.param(1, 0.01, 0.0, id="one-per-kind"),
+            # Several losses per group per tick, repeats inside
+            # LOSS_REACTION_RTTS, losses in slow start, groups
+            # interleaved by flow index (the ascending merge), and a
+            # varying RTT so H-TCP's backoff clips at both bounds.
+            pytest.param(6, 0.2, 2.0, id="six-per-kind"),
+        ],
+    )
+    def test_timeout_schedule_bit_identical(self, copies, loss_p, rtt_swing):
         from repro.tcp.cc import make_cc
 
-        n = len(self.KINDS)
+        kinds = self.KINDS * copies
+        n = len(kinds)
         mss = 8960.0
         kernels = {
-            name: self._kernel(name, [make_cc(k, mss=mss) for k in self.KINDS])
+            name: self._kernel(name, [make_cc(k, mss=mss) for k in kinds])
             for name in ("scalar", "vector")
         }
         rng = np.random.default_rng(17)
-        now, dt, rtt = 0.0, 0.008, 0.054
+        rtt_rng = np.random.default_rng(29)
+        now, dt = 0.0, 0.008
         max_window = 64 * 1024 * 1024.0
         for step in range(800):
             now += dt
+            rtt = 0.054 * (1.0 + rtt_swing * rtt_rng.random())
             cwnd = kernels["scalar"].cwnd
             delivered = rng.uniform(0.0, 2.5, n) * cwnd * (dt / rtt)
             al_mask = rng.random(n) < 0.05
-            loss_idx = np.nonzero(rng.random(n) < 0.01)[0]
+            loss_idx = np.nonzero(rng.random(n) < loss_p)[0]
             to_idx = np.nonzero(rng.random(n) < 0.004)[0]
             reports = {}
             for name, kern in kernels.items():

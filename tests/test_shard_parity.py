@@ -10,7 +10,9 @@ the contract on fixed configurations covering the engine's branches
 (mixed congestion control with losses, all-smooth pacing, 802.3x flow
 control, pad lanes, single-block clamping), on hypothesis-generated
 populations, and on a registered experiment's digest through the
-runner's ``--shards`` plumbing.
+runner's ``--shards`` plumbing.  The segmented block drop placement is
+checked bit for bit against its per-block reference,
+``_concentrate_block``.
 
 Partitioning/population semantics and selection plumbing (env var,
 programmatic override, validation errors) are covered at the bottom.
@@ -31,6 +33,8 @@ from repro.sim.shard import (
     FlowPopulation,
     ShardedFlowSimulator,
     ShardPlan,
+    _concentrate_block,
+    _place_block_drops,
     force_shards,
     forced_shards,
     shard_count,
@@ -197,6 +201,85 @@ class TestHypothesisParity:
             profile=short,
         )
         assert_bit_identical(base, other)
+
+
+def _reference_placement(out, rngs, train_vols, std_vols, train_basis, std_basis):
+    """The per-block loop the segmented placement replaced."""
+    out.fill(0.0)
+    for j, gen in enumerate(rngs):
+        lo = j * BLOCK_FLOWS
+        if train_vols[j] > 0.0:
+            _concentrate_block(gen, train_basis, lo, float(train_vols[j]), out)
+        if std_vols[j] > 0.0:
+            _concentrate_block(gen, std_basis, lo, float(std_vols[j]), out)
+
+
+#: One block's drop-placement inputs: (train basis row kind, standing
+#: basis row kind, which volumes it carries).
+block_strategy = st.tuples(
+    st.sampled_from(["zero", "sparse", "dense"]),
+    st.sampled_from(["zero", "sparse", "dense"]),
+    st.sampled_from(["none", "train", "std", "both"]),
+)
+
+
+def _basis_row(kind, rng):
+    if kind == "zero":
+        return np.zeros(BLOCK_FLOWS)
+    row = rng.uniform(0.0, 1e6, BLOCK_FLOWS)
+    if kind == "sparse":
+        row[rng.random(BLOCK_FLOWS) < 0.7] = 0.0
+    return row
+
+
+class TestSegmentedPlacement:
+    """The segmented drop placement against the per-block reference.
+
+    Both sides draw from identically seeded block streams; the output
+    bits and every stream's final state must match, so each block made
+    the same draws in the same order.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        blocks=st.lists(block_strategy, min_size=1, max_size=8),
+        pads=st.integers(min_value=0, max_value=BLOCK_FLOWS - 1),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_matches_per_block_reference(self, blocks, pads, seed):
+        data = np.random.default_rng(seed)
+        n_blocks = len(blocks)
+        train_basis = np.concatenate([_basis_row(b[0], data) for b in blocks])
+        std_basis = np.concatenate([_basis_row(b[1], data) for b in blocks])
+        if pads:
+            # Pad lanes at the end of the last block carry no basis.
+            train_basis[-pads:] = 0.0
+            std_basis[-pads:] = 0.0
+        volumes = data.uniform(1.0, 1e5, (n_blocks, 2))
+        train_vols = np.where(
+            [b[2] in ("train", "both") for b in blocks], volumes[:, 0], 0.0
+        )
+        std_vols = np.where(
+            [b[2] in ("std", "both") for b in blocks], volumes[:, 1], 0.0
+        )
+
+        def streams():
+            rng = RngFactory(seed)
+            return [rng.stream(f"drop:b{j}") for j in range(n_blocks)]
+
+        ref_rngs, vec_rngs = streams(), streams()
+        ref = np.full(n_blocks * BLOCK_FLOWS, np.nan)
+        vec = np.full(n_blocks * BLOCK_FLOWS, np.nan)
+        _reference_placement(
+            ref, ref_rngs, train_vols, std_vols, train_basis, std_basis
+        )
+        _place_block_drops(
+            vec, vec_rngs, np.empty((n_blocks, 4)),
+            train_vols, std_vols, train_basis, std_basis,
+        )
+        assert vec.tobytes() == ref.tobytes()
+        for a, b in zip(ref_rngs, vec_rngs):
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 def _small_config():

@@ -20,11 +20,6 @@ class Summary:
     min: float
     max: float
 
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation (stdev / mean)."""
-        return self.stdev / self.mean if self.mean else math.inf
-
 
 def summarize(values) -> Summary:
     """Summary of a sequence of measurements."""

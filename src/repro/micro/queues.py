@@ -65,8 +65,3 @@ class LinkQueue:
         # propagation happens in parallel with serving the next packet
         self.engine.call_in(self.delay, lambda: self.deliver(pkt))
         self._serve_next()
-
-    @property
-    def queueing_delay(self) -> float:
-        """Current backlog drain time, seconds."""
-        return self.backlog / self.rate

@@ -359,9 +359,6 @@ class CpuCostModel:
     def core_budget_cyc_per_sec(self) -> float:
         return self._core_budget
 
-    def mem_touches(self) -> float:
-        return MEM_TOUCHES_ZEROCOPY if self.zerocopy else MEM_TOUCHES_COPY
-
 
 # ----------------------------------------------------------------------
 # batched variants for the vectorized tick kernel

@@ -30,46 +30,25 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core import units
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RngFactory
 from repro.host.machine import Host
 from repro.net.path import NetworkPath
-from repro.net.switch import SharedBufferQueue, SwitchModel
 from repro.sim.bottleneck import maxmin_allocate
-from repro.sim.cpumodel import CpuCostModel
 from repro.sim.kernels import VectorKernel
-from repro.sim.lossmodel import BurstModel, concentrate_drops, flow_release_slack
+from repro.sim.lossmodel import BurstModel, concentrate_drops
 from repro.sim.metrics import MetricsAccumulator, RunResult
 from repro.sim.sanitizer import SimSanitizer
 from repro.sim.sanitizer import enabled as sanitizer_enabled
+from repro.sim.stages import PathStage, RunSetup, emit_run_end, emit_run_start
 from repro.tcp.cc import make_cc
 from repro.tcp.pacing import PacingConfig
-from repro.tcp.segment import SegmentGeometry
-from repro.tcp.sockets import SocketProfile
 from repro.trace.bus import TraceBus
 from repro.trace.bus import active as trace_active
 from repro.trace.ledger import FlowConservationLedger
 from repro.trace.probes import mpstat_probe, nic_probe, socket_probe
 
 __all__ = ["FlowSpec", "SimProfile", "FlowSimulator"]
-
-#: Receiver aggregate ceiling degradation on large-window (WAN) workloads:
-#: hundred-MB receive backlogs defeat the LLC and DDIO, costing up to
-#: this fraction of the host's aggregate receive bandwidth.  This is the
-#: mechanism behind the paper's observation that ESnet WAN parallel
-#: streams interfere "any time the total bandwidth attempted is over
-#: 120 Gbps" while the same hosts sustain 166 Gbps on the LAN.
-WAN_RX_AGG_PENALTY = 0.30
-
-#: A flow's congestion control reacts when more than this fraction of
-#: its tick arrival was dropped (smaller fractions model SACK-repaired
-#: stragglers that do not trigger a window reduction).
-LOSS_REACT_FRACTION = 5e-4
-
-#: Relative per-tick jitter of the receiver aggregate ceiling at full
-#: WAN exposure (LLC / memory-controller / softirq contention noise).
-RX_CEILING_NOISE = 0.05
 
 
 @dataclass(frozen=True)
@@ -107,6 +86,19 @@ class SimProfile:
     def quick(cls) -> "SimProfile":
         """Short runs for unit tests."""
         return cls(duration=6.0, tick=0.004, omit=1.5)
+
+
+def _place_drops(rng, trains, train_vol, basis, std_vol) -> np.ndarray:
+    """Train overflow charged to ``trains``, then standing drops to
+    ``basis`` — one queue's drop volumes placed on a few flows each.
+    ``concentrate_drops`` stays a module-global lookup (swappable under
+    test)."""
+    if train_vol <= 0.0:
+        return concentrate_drops(rng, basis, std_vol)
+    drops = concentrate_drops(rng, trains, train_vol)
+    if std_vol > 0.0:
+        drops += concentrate_drops(rng, basis, std_vol)
+    return drops
 
 
 class FlowSimulator:
@@ -151,9 +143,7 @@ class FlowSimulator:
 
     def run(self, rep: int = 0) -> RunResult:
         """Simulate one test run (≈ one iperf3 invocation)."""
-        prof = self.profile
         n = len(self.flows)
-        dt = prof.tick
 
         san = (
             SimSanitizer(context=f"flowsim rep={rep}")
@@ -168,15 +158,19 @@ class FlowSimulator:
         if san is not None:
             san.check_stream_registry(self.rng)
 
-        snd_place = self.sender.resolved_placement(place_rng)
-        rcv_place = self.receiver.resolved_placement(place_rng)
-
-        geom_tx = SegmentGeometry(
-            mtu=self.sender.tuning.mtu,
-            gso_size=self.sender.effective_gso_size(),
-            gro_size=self.receiver.effective_gro_size(),
+        burst = BurstModel(rng=burst_rng)
+        setup = RunSetup(
+            self.sender,
+            self.receiver,
+            self.path,
+            [(f, 1) for f in self.flows],
+            self.profile,
+            place_rng=place_rng,
+            jitter_rng=jitter_rng,
+            burst=burst,
         )
-        sockets = SocketProfile.from_sysctls(self.sender.sysctls, self.receiver.sysctls)
+        dt = setup.dt
+        mss = setup.mss
 
         # Observability.  The ambient trace bus (if one is installed)
         # receives events and probes; the sanitizer additionally audits
@@ -190,7 +184,7 @@ class FlowSimulator:
         ledger_bus = None
         if san is not None:
             ledger = FlowConservationLedger(
-                n, mss=float(geom_tx.mss), context=f"flowsim rep={rep}"
+                n, mss=float(mss), context=f"flowsim rep={rep}"
             )
             self.last_ledger = ledger
             ledger_bus = TraceBus(sinks=[ledger])
@@ -205,122 +199,28 @@ class FlowSimulator:
             probe_stride = max(1, int(round(bus.probe_interval / dt)))
             drops_cum = np.zeros(n)
 
-        send_models = [
-            CpuCostModel(self.sender, geom_tx, snd_place, zerocopy=f.zerocopy)
-            for f in self.flows
-        ]
-        recv_models = [
-            CpuCostModel(self.receiver, geom_tx, rcv_place, skip_rx_copy=f.skip_rx_copy)
-            for f in self.flows
-        ]
-
-        ccs = [make_cc(f.cc, mss=float(geom_tx.mss)) for f in self.flows]
-        pace_eff = np.array(
-            [
-                f.pacing.effective_rate() if f.pacing.enabled else np.inf
-                for f in self.flows
-            ]
-        )
-        burst = BurstModel(rng=burst_rng)
-        slacks = np.array(
-            [
-                flow_release_slack(f.pacing, f.zerocopy, burst)
-                for f in self.flows
-            ]
-        )
-
-        # Run-to-run hardware/placement jitter: a single multiplicative
-        # factor per run on CPU-derived limits (thermal/clock/scheduler
-        # noise plus any VM overhead noise).
-        run_noise = 1.0 + jitter_rng.normal(
-            0.0, 0.012 + self.sender.vm.jitter + self.receiver.vm.jitter
-        )
-        run_noise = float(np.clip(run_noise, 0.85, 1.15))
-
-        # Core shares: flows spread over the app/IRQ core sets.
-        snd_app_share = min(1.0, len(snd_place.app_cores) / n)
-        rcv_app_share = min(1.0, len(rcv_place.app_cores) / n)
-        rcv_irq_share = min(1.0, len(rcv_place.irq_cores) / n)
-
-        # Queues: bottleneck switch buffer, then the receiver NIC ring.
-        # The backbone switch queue always tail-drops: even on
-        # flow-control paths, 802.3x protects only the receiver's access
-        # link — backbone congestion still loses packets.
-        eff = geom_tx.wire_efficiency
-        path_cap_good = self.path.capacity * eff
-        backbone = SwitchModel(
-            model=self.path.switch.model,
-            shared_buffer_bytes=self.path.switch.shared_buffer_bytes,
-            supports_flow_control=False,
-        )
-        q_switch = SharedBufferQueue(backbone, drain_rate=path_cap_good)
-        ring_switch = SwitchModel(
-            model="rx-ring",
-            shared_buffer_bytes=self.receiver.rx_ring_bytes(),
-            supports_flow_control=self.path.flow_control,
-        )
-        q_ring = SharedBufferQueue(ring_switch, drain_rate=path_cap_good)
-
-        agg_tx = min(m.aggregate_tx_ceiling() for m in send_models) * run_noise
-        agg_rx_base = min(m.aggregate_rx_ceiling() for m in recv_models) * run_noise
-
-        metrics = MetricsAccumulator(n, prof.duration, prof.omit)
-        base_rtt = self.path.rtt_sec
-
-        budget_tx = self.sender.core_cycles_per_sec() * run_noise
-        budget_rx = self.receiver.core_cycles_per_sec() * run_noise
-
         # The tick kernel (``kernel_class``: the vectorized fast path, or
-        # the scalar reference under test) owns the warm per-flow state —
-        # congestion windows and the damped receiver CPU limit — and the
-        # four per-flow hooks.  Everything else in the loop below is
-        # shared driver code: RNG draws, cross-flow reductions, queues,
-        # and trace emission, so the kernels are byte-interchangeable.
-        kern = self.kernel_class(
-            ccs=ccs,
-            send_models=send_models,
-            recv_models=recv_models,
-            run_noise=run_noise,
-            snd_app_share=snd_app_share,
-            rcv_app_share=rcv_app_share,
-            rcv_irq_share=rcv_irq_share,
-            budget_rx=budget_rx,
-            agg_rx_base=agg_rx_base,
+        # the scalar reference under test) owns the warm per-flow state
+        # and every lane computation; the path stage owns the queues.
+        # What stays in this loop is what the sharded engine does its
+        # own way: RNG draws, cross-flow reductions, the max-min
+        # allocation, drop placement and trace emission.
+        kern = setup.kernel(
+            self.kernel_class,
+            [make_cc(f.cc, mss=float(mss)) for f in self.flows],
         )
-        max_window = sockets.max_window
+        path = PathStage(setup, bg_rng, bus=bus, san=san)
+        metrics = MetricsAccumulator(n, setup.duration, setup.omit)
+        send_models = setup.send_models
+        pace_eff, slacks = setup.pace_eff, setup.slacks
+        all_smooth = setup.all_smooth
+        fp_floor, fp_cap = setup.fp_floor, setup.fp_cap
+        react10, max_window, capacity = setup.react10, setup.max_window, setup.capacity
+        budget_tx, budget_rx = setup.budget_tx, setup.budget_rx
+        flow_control = self.path.flow_control
         prev_alloc = np.zeros(n)
         persistent_w = burst.persistent_weights(slacks)
 
-        n_ticks = int(round(prof.duration / dt))
-        steps_per_bg = max(1, int(round(0.02 / dt)))  # resample bg every ~20 ms
-        bg_sample = 0.0
-
-        # Loop invariants, hoisted.  Every quantity below is a pure
-        # function of run-constant inputs (or of ``bg_sample``, which
-        # only changes in the resample branch), so the per-tick values
-        # are bit-identical to recomputing them inside the loop.
-        mss = geom_tx.mss
-        react10 = 10 * mss
-        fp_floor = 64 * geom_tx.gso_size
-        fp_cap = sockets.max_send_window * 2.0
-        l3_20 = 20.0 * self.receiver.cpu.l3_effective_bytes
-        n_exposure = min(1.0, n / 4.0)
-        physical = self.path.bottleneck.rate_bytes_per_sec
-        bg_mean = self.path.background.mean_bytes_per_sec
-        path_capacity = self.path.capacity
-        cap_floor = 0.05 * path_cap_good
-        cap_avg = max(cap_floor, min(path_capacity, physical - bg_mean) * eff)
-        capacity = min(cap_avg, agg_tx)
-        line1_den = max(
-            min(self.sender.nic.speed_bytes_per_sec, physical) * eff, 1.0
-        )
-        line2_den = max(physical * eff, 1.0)
-        buf1 = self.path.switch.shared_buffer_bytes
-        buf2 = self.receiver.rx_ring_bytes()
-        bg_active = self.path.background.active
-        flow_control = self.path.flow_control
-        cap_net = max(cap_floor, min(path_capacity, physical - bg_sample) * eff)
-        fill1 = max(0.0, 1.0 - cap_net / line1_den)
         # Shared all-zero per-flow array for drop-free ticks (never
         # mutated) and the matching empty loss index.
         zeros = np.zeros(n)
@@ -329,106 +229,28 @@ class FlowSimulator:
         # ndarray.sum() dispatches to np.add.reduce; calling the ufunc
         # directly skips a wrapper layer with identical pairwise bits.
         asum = np.add.reduce
-        # With no trace bus and no sanitizer attached, an offer that a
-        # queue passes straight through (empty queue, arrivals within
-        # the drain) has no observable effect besides its return value,
-        # so the method call can be elided with the same numbers.
-        fast_q = bus is None and san is None
-        drained1 = cap_net * dt
-        # All-fq-paced runs draw burst randomness but multiply it away
-        # (slack 0); hoist that check out of the loop.
-        all_smooth = not bool(slacks.any())
         # Per-tick scratch buffers.  Each is fully rewritten every tick
         # before its first read, and nothing per-tick survives the tick
         # through a buffer (``prev_alloc`` keeps the freshly allocated
         # maxmin output, never scratch).  ``out=`` only changes where
         # results land, never their bits.
-        wr_buf = np.empty(n)
-        foot_buf = np.empty(n)
-        caps_buf = np.empty(n)
         sent_buf = np.empty(n)
         drate_buf = np.empty(n)
         acc_buf = np.empty(n)
-        mask_f1 = np.empty(n)
-        mask_b1 = np.empty(n, dtype=bool)
-        mask_b2 = np.empty(n, dtype=bool)
 
-        if bus is not None:
-            bus.emit(
-                "run",
-                "run.start",
-                rep=rep,
-                flows=n,
-                path=self.path.name,
-                duration=prof.duration,
-                tick=dt,
-                rtt_ms=units.seconds_to_ms(base_rtt),
-                flow_control=self.path.flow_control,
-            )
-
-        rtt = base_rtt
-        for step in range(n_ticks):
-            # Closed form, not `now += dt`: a million accumulated float
-            # adds drift the clock by enough to flip boundary
-            # comparisons downstream (lint rule FLOAT002 flags the
-            # accumulating pattern in simulation code).
-            now = (step + 1) * dt
-            if bus is not None:
-                bus.set_time(now)
+        emit_run_start(bus, setup, rep)
+        for step in range(setup.n_ticks):
+            now, rtt = path.begin(step)
             if ledger_bus is not None:
                 ledger_bus.set_time(now)
-            if san is not None:
-                san.check_time(now)
-            if bg_active and step % steps_per_bg == 0:
-                bg_sample = float(self.path.background.sample(bg_rng, 1)[0])
-                cap_net = max(
-                    cap_floor, min(path_capacity, physical - bg_sample) * eff
-                )
-                fill1 = max(0.0, 1.0 - cap_net / line1_den)
-                drained1 = cap_net * dt
-
-            queue_delay = q_switch.occupancy / max(q_switch.drain_rate, 1.0)
-            rtt = base_rtt + queue_delay
 
             # --- per-flow caps -------------------------------------------
             cwnd = kern.cwnd
-            window_rate = np.divide(cwnd, max(rtt, 1e-6), out=wr_buf)
-            pace = kern.pacing(rtt, pace_eff)
-
-            # Working set the sender actually touches: the in-flight
-            # bytes (~rate*RTT) plus qdisc/socket slack — NOT the raw
-            # cwnd, which can sit far above what an app-limited flow
-            # uses (cwnd validation below keeps them close anyway).
-            # (min/max are exact and commutative here — both operands
-            # are ordinary positive floats, so swapped-argument ties
-            # return identical bits; ``c * x`` rounds as ``x * c``.)
-            np.multiply(prev_alloc, rtt, out=foot_buf)
-            np.multiply(foot_buf, 1.5, out=foot_buf)
-            np.maximum(foot_buf, fp_floor, out=foot_buf)
-            np.minimum(foot_buf, cwnd, out=foot_buf)
-            footprint = np.minimum(foot_buf, fp_cap, out=foot_buf)
-            snd_limit, rcv_limit = kern.cpu_limits(rtt, footprint)
-
-            # Same left-fold association as np.minimum.reduce([...]).
-            caps = np.minimum(window_rate, pace, out=caps_buf)
-            np.minimum(caps, snd_limit, out=caps)
-            np.minimum(caps, rcv_limit, out=caps)
+            caps, footprint, pace, rcv_limit = kern.caps(
+                rtt, prev_alloc, pace_eff, fp_floor, fp_cap
+            )
 
             # --- shared capacity ----------------------------------------
-            # The receiver's aggregate ceiling is deliberately NOT part
-            # of the allocation: senders do not know it.  It appears as
-            # the ring drain below, so exceeding it costs losses (the
-            # paper's >120 Gbps WAN interference), not a clean cap.
-            # Exposure grows with the total receive working set and with
-            # the number of competing receiver processes — one stream
-            # cannot thrash the LLC the way eight iperf3 threads do.
-            # (Background traffic shares the *physical* link; the admin
-            # cap applies to test traffic only.  TCP adapts to the
-            # *average* background — the micro-burst sample drives the
-            # queue drain below, so spikes show up as queueing and
-            # loss, not as an instant, clairvoyant rate adjustment.)
-            total_foot = float(asum(footprint))
-            rx_exposure = min(1.0, total_foot / l3_20) * n_exposure
             # One fused burst-model draw covers this tick's rx-ceiling
             # noise, max-min weight jitter, and packet-train volumes —
             # a single RNG call whose consumption order is part of the
@@ -436,16 +258,9 @@ class FlowSimulator:
             noise_z, weights, trains = burst.tick_draw(
                 persistent_w, slacks, cwnd, smooth=all_smooth
             )
-            # The ceiling is noisy tick to tick (LLC/memory-controller
-            # contention, softirq scheduling): flows operating close to
-            # it keep clipping the dips, which is where the paper's
-            # sustained WAN retransmit counts come from.
-            z = noise_z if -2.5 <= noise_z <= 2.5 else (
-                -2.5 if noise_z < -2.5 else 2.5
+            path.receiver_ceiling(
+                float(asum(footprint)), float(asum(rcv_limit)), noise_z
             )
-            rx_noise = 1.0 + RX_CEILING_NOISE * rx_exposure * z
-            agg_rx = agg_rx_base * (1.0 - WAN_RX_AGG_PENALTY * rx_exposure) * rx_noise
-
             # Weights come out of the lognormal jitter (positive by
             # construction), so the validation pass is skipped.  Always
             # route through the module global (the allocator has its own
@@ -453,112 +268,39 @@ class FlowSimulator:
             alloc = maxmin_allocate(caps, capacity, weights, validate=False)
 
             # --- queues + packet-train loss ------------------------------
-            # Standing queues carry the *average* volume (sum of
-            # allocations never exceeds the drain by construction, so
-            # they only build transiently when background-traffic spikes
-            # eat into the drain).  Packet trains are per-RTT
-            # time-compression: each RTT a train of V_i bytes arrives at
-            # line rate; the fraction the drain cannot absorb deposits
-            # into the buffer, and the part beyond the free headroom is
-            # tail-dropped.  Train overflow is converted to a per-tick
-            # drop volume by dt/rtt.
             sent = np.multiply(alloc, dt, out=sent_buf)  # goodput bytes emitted
-            tick_per_rtt = dt / max(rtt, dt)
-
-            q_switch.drain_rate = cap_net
-            occ1_before = q_switch.occupancy
             offered1 = float(asum(sent))
-            # Exact == 0.0 is intentional: offer() assigns occupancy
-            # = 0.0 exactly when the queue empties, and the elision is
-            # only valid in that exact state.
-            if fast_q and occ1_before == 0.0 and offered1 <= drained1:  # repro: noqa-FLOAT001
-                # offer() would serve everything from an empty queue:
-                # delivered = arrivals, no state change, nothing to
-                # trace.  Same numbers as the call, minus the call.
-                delivered1, dropped_std1 = offered1, 0.0
-            else:
-                delivered1, dropped_std1 = q_switch.offer(offered1, dt)
-            if san is not None:
-                san.account_link(
-                    "switch-buffer",
-                    offered=offered1,
-                    delivered=delivered1,
-                    dropped=dropped_std1,
-                    queue_before=occ1_before,
-                    queue_after=q_switch.occupancy,
-                )
+            ov1, dropped_std1 = path.offer_switch(
+                offered1, float(asum(trains)) if path.switch_trains else 0.0
+            )
             # Drop-free ticks short-circuit to the shared zero array:
             # ``concentrate_drops`` returns all-zeros without touching
             # the RNG when its drop volume is 0, and adding a zero
             # array to non-negative drops is a bitwise no-op, so the
             # skipped calls cannot change any number downstream.
-            # ``all_smooth`` ticks have all-zero trains, so both
-            # overflow expressions reduce to max(0, -headroom) == 0;
-            # skipping the sums changes nothing.
-            if fill1 > 0.0 and not all_smooth:
-                headroom1 = max(0.0, buf1 - q_switch.occupancy)
-                overflow1 = max(0.0, float(asum(trains)) * fill1 - headroom1)
-            else:
-                overflow1 = 0.0
-            ov1 = overflow1 * tick_per_rtt
-            if ov1 > 0.0:
-                drops1 = concentrate_drops(burst_rng, trains, ov1)
-                if dropped_std1 > 0.0:
-                    drops1 += concentrate_drops(burst_rng, sent, dropped_std1)
-            elif dropped_std1 > 0.0:
-                drops1 = concentrate_drops(burst_rng, sent, dropped_std1)
+            if ov1 > 0.0 or dropped_std1 > 0.0:
+                drops1 = _place_drops(burst_rng, trains, ov1, sent, dropped_std1)
             else:
                 drops1 = zeros
 
-            # Receiver NIC ring: drains at what the receiver actually
-            # consumes; trains arrive at the path's bottleneck line rate.
-            rcv_drain = min(agg_rx, float(asum(rcv_limit)))
             after1 = sent if drops1 is zeros else np.maximum(0.0, sent - drops1)
-            q_ring.drain_rate = rcv_drain
-            occ2_before = q_ring.occupancy
             # On drop-free ticks after1 IS sent, whose sum is offered1.
             offered2 = offered1 if after1 is sent else float(asum(after1))
-            # Same exact-empty-state guard as the switch queue above.
-            if fast_q and occ2_before == 0.0 and offered2 <= rcv_drain * dt:  # repro: noqa-FLOAT001
-                delivered2, dropped_std2 = offered2, 0.0
-            else:
-                delivered2, dropped_std2 = q_ring.offer(offered2, dt)
-            if san is not None:
-                san.account_link(
-                    "rx-ring",
-                    offered=offered2,
-                    delivered=delivered2,
-                    dropped=dropped_std2,
-                    queue_before=occ2_before,
-                    queue_after=q_ring.occupancy,
-                    flow_control=flow_control,
+            trains_after = trains
+            if path.ring_trains:
+                if drops1 is not zeros:
+                    trains_after = np.maximum(0.0, trains - drops1)
+                ov2, dropped_std2 = path.offer_ring(
+                    offered2, float(asum(trains_after))
                 )
-            if flow_control:
-                # 802.3x pause frames: the overflow is held upstream,
-                # nothing is dropped at the ring.
+            else:
+                ov2, dropped_std2 = path.offer_ring(offered2, 0.0)
+            if ov2 > 0.0 or dropped_std2 > 0.0:
+                drops2 = _place_drops(
+                    burst_rng, trains_after, ov2, after1, dropped_std2
+                )
+            else:
                 drops2 = zeros
-            else:
-                fill2 = max(0.0, 1.0 - rcv_drain / line2_den)
-                trains_after = (
-                    trains if drops1 is zeros
-                    else np.maximum(0.0, trains - drops1)
-                )
-                if fill2 > 0.0 and not all_smooth:
-                    headroom2 = max(0.0, buf2 - q_ring.occupancy)
-                    overflow2 = max(
-                        0.0, float(asum(trains_after)) * fill2 - headroom2
-                    )
-                else:
-                    overflow2 = 0.0
-                ov2 = overflow2 * tick_per_rtt
-                if ov2 > 0.0:
-                    drops2 = concentrate_drops(burst_rng, trains_after, ov2)
-                    if dropped_std2 > 0.0:
-                        drops2 += concentrate_drops(burst_rng, after1, dropped_std2)
-                elif dropped_std2 > 0.0:
-                    drops2 = concentrate_drops(burst_rng, after1, dropped_std2)
-                else:
-                    drops2 = zeros
 
             if drops1 is zeros and drops2 is zeros:
                 drops = zeros
@@ -571,10 +313,6 @@ class FlowSimulator:
                 san.check_non_negative("sent", sent)
                 san.check_non_negative("drops", drops)
                 san.check_non_negative("delivered", delivered)
-                san.check_non_negative(
-                    "queue occupancy", (q_switch.occupancy, q_ring.occupancy)
-                )
-                san.check_positive("rtt", rtt)
                 san.check_positive("cwnd", cwnd)
 
             if drops_cum is not None:
@@ -605,24 +343,8 @@ class FlowSimulator:
                 loss_idx = empty_idx
             else:
                 retr_segments = float(asum(drops) / mss)
-                loss_idx = np.nonzero(
-                    drops > LOSS_REACT_FRACTION * np.maximum(sent, 1.0)
-                )[0]
-            # Congestion-window validation (RFC 7661): loss-based
-            # algorithms only grow while the window is what binds.  The
-            # mask reads this tick's pre-update windows, as the scalar
-            # loop did.
-            # Same left-fold ``(nv & a) & b`` as the expression form;
-            # `&` on bool arrays is logical_and, and the `c * x`
-            # commutations round identically.
-            np.multiply(alloc, rtt, out=mask_f1)
-            np.maximum(mask_f1, react10, out=mask_f1)
-            np.multiply(mask_f1, 1.5, out=mask_f1)
-            np.greater(cwnd, mask_f1, out=mask_b1)
-            np.logical_and(kern.needs_validation, mask_b1, out=mask_b1)
-            np.multiply(alloc, 1.2, out=mask_f1)
-            np.greater(window_rate, mask_f1, out=mask_b2)
-            al_mask = np.logical_and(mask_b1, mask_b2, out=mask_b1)
+                loss_idx = kern.loss_index(drops, sent)
+            al_mask = kern.validation_mask(alloc, rtt, react10)
             reacted = kern.cc_feedback(
                 now, dt, rtt, delivered, loss_idx, al_mask, max_window
             )
@@ -682,7 +404,7 @@ class FlowSimulator:
                 bus.emit(
                     "probe",
                     "probe.nic",
-                    **nic_probe(q_switch, q_ring, flow_control=flow_control),
+                    **nic_probe(path.q_switch, path.q_ring, flow_control=flow_control),
                 )
                 for i in range(n):
                     zc_model = send_models[i].zc_model
@@ -720,14 +442,5 @@ class FlowSimulator:
             )
 
         result = metrics.finalize()
-        if bus is not None:
-            bus.emit(
-                "run",
-                "run.end",
-                rep=rep,
-                flows=n,
-                gbps=round(result.total_gbps, 6),
-                retransmit_segments=round(result.retransmit_segments, 3),
-                loss_events=result.loss_events,
-            )
+        emit_run_end(bus, setup, rep, result)
         return result

@@ -1,19 +1,29 @@
-"""Tick kernels: the scalar reference path and the vectorized fast path.
+"""Tick kernels: the per-flow lane work of one simulated tick.
 
-:meth:`repro.sim.flowsim.FlowSimulator.run` is a *driver* around four
-per-tick hooks — pacing caps, CPU rate limits, congestion feedback, CPU
-cost accounting.  This module provides two interchangeable
-implementations of those hooks:
+A kernel owns the per-flow state that persists across ticks and does
+every per-flow (lane) computation of the tick.  Both simulation
+drivers — :class:`~repro.sim.flowsim.FlowSimulator` and each worker of
+:class:`~repro.sim.shard.ShardedFlowSimulator` — call the same stages:
 
-* :class:`ScalarKernel` — the reference: per-flow Python loops over the
-  scalar :class:`~repro.tcp.cc.base.CongestionControl` objects and
-  :class:`~repro.sim.cpumodel.CpuCostModel` methods, exactly as the
-  original simulator ran them;
-* :class:`VectorKernel` — numpy array kernels
-  (:class:`~repro.tcp.cc.batch.CcBatch`,
-  :class:`~repro.sim.cpumodel.SenderCostBatch`,
-  :class:`~repro.sim.cpumodel.ReceiverCostBatch`) doing O(1)
-  Python-level work per tick regardless of the flow count.
+* the shared lane stages on :class:`TickKernel`: :meth:`~TickKernel.caps`
+  (window rate, footprint chain, CPU limits, min fold),
+  :meth:`~TickKernel.loss_index` (the loss-react threshold) and
+  :meth:`~TickKernel.validation_mask` (RFC 7661);
+* four hooks with two implementations — pacing caps, CPU rate limits,
+  congestion feedback, CPU cost accounting:
+
+  - :class:`ScalarKernel` — the reference: per-flow Python loops over
+    the scalar :class:`~repro.tcp.cc.base.CongestionControl` objects and
+    :class:`~repro.sim.cpumodel.CpuCostModel` methods;
+  - :class:`VectorKernel` — numpy array kernels
+    (:class:`~repro.tcp.cc.batch.CcBatch`,
+    :class:`~repro.sim.cpumodel.SenderCostBatch`,
+    :class:`~repro.sim.cpumodel.ReceiverCostBatch`) doing O(1)
+    Python-level work per tick regardless of the flow count.
+
+The stages call the hooks through ``self``, so swapping the kernel
+class swaps every hook.  A kernel never reduces across flows and never
+draws randomness; the scratch buffers its stages write are its own.
 
 Parity guarantee
 ----------------
@@ -26,7 +36,7 @@ aspirational, because
   evaluated by CPython or by a numpy ufunc, and every vector formula
   transcribes its scalar counterpart with the same association;
 * everything stochastic (background samples, burst draws, drop
-  placement) and every cross-flow reduction lives in the shared driver,
+  placement) and every cross-flow reduction lives in the drivers,
   so RNG consumption order and summation order cannot differ;
 * rare per-event work (loss reactions needing a real cube root, BBR's
   windowed-max state) runs the scalar code in both kernels.
@@ -47,23 +57,35 @@ from repro.sim.cpumodel import (
     ReceiverCostBatch,
     SenderCostBatch,
 )
-from repro.tcp.cc.base import CongestionControl
 from repro.tcp.cc.batch import CcBatch
 
-__all__ = ["TickKernel", "ScalarKernel", "VectorKernel"]
+__all__ = ["LOSS_REACT_FRACTION", "TickKernel", "ScalarKernel", "VectorKernel"]
+
+#: A flow's congestion control reacts when more than this fraction of
+#: its tick arrival was dropped (smaller fractions model SACK-repaired
+#: stragglers that do not trigger a window reduction).
+LOSS_REACT_FRACTION = 5e-4
 
 
 class TickKernel:
-    """Per-run state and per-tick hooks shared by both kernels.
+    """Per-run state, the shared lane stages and the per-tick hooks.
 
     The kernel owns the warm-started per-flow arrays that persist
-    across ticks: the congestion windows (``cwnd``) and the damped
-    receiver CPU limit fixed point (``rcv_limit``).
+    across ticks — the congestion windows (``cwnd``) and the damped
+    receiver CPU limit fixed point (``rcv_limit``) — and the scratch
+    buffers its lane stages write: ``window_rate`` and ``footprint``
+    are this tick's, valid until the next :meth:`caps` call.
+
+    ``ccs`` is the congestion state: per-flow
+    :class:`~repro.tcp.cc.base.CongestionControl` objects, or for
+    :class:`VectorKernel` a prebuilt :class:`~repro.tcp.cc.batch.CcBatch`
+    (the sharded engine builds one from per-kind templates, skipping
+    the per-flow objects).
     """
 
     def __init__(
         self,
-        ccs: list[CongestionControl],
+        ccs,
         send_models: list[CpuCostModel],
         recv_models: list[CpuCostModel],
         *,
@@ -74,8 +96,6 @@ class TickKernel:
         budget_rx: float,
         agg_rx_base: float,
     ) -> None:
-        self.n = len(ccs)
-        self.ccs = ccs
         self.send_models = send_models
         self.recv_models = recv_models
         self.run_noise = run_noise
@@ -83,12 +103,91 @@ class TickKernel:
         self.rcv_app_share = rcv_app_share
         self.rcv_irq_share = rcv_irq_share
         self.budget_rx = budget_rx
+        self._bind(ccs)
+        self.n = n = self.cwnd.size
+        self.snd_limit = np.zeros(n)
+        self.rcv_limit = np.full(n, agg_rx_base)
+        self.window_rate = np.empty(n)
+        self.footprint = np.empty(n)
+        self._caps = np.empty(n)
+        self._mask_f = np.empty(n)
+        self._mask_b1 = np.empty(n, dtype=bool)
+        self._mask_b2 = np.empty(n, dtype=bool)
+
+    def _bind(self, ccs) -> None:
+        """Attach the congestion state: ``cwnd`` and ``needs_validation``."""
+        self.ccs = ccs
         self.cwnd = np.array([cc.cwnd_bytes for cc in ccs])
         self.needs_validation = np.array(
             [cc.needs_cwnd_validation for cc in ccs]
         )
-        self.snd_limit = np.zeros(self.n)
-        self.rcv_limit = np.full(self.n, agg_rx_base)
+
+    # -- lane stages (shared by both kernels and both drivers) ----------
+
+    def caps(
+        self,
+        rtt: float,
+        prev_alloc: np.ndarray,
+        pace_eff: np.ndarray,
+        fp_floor: float,
+        fp_cap: float,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-flow rate caps: ``(caps, footprint, pace, rcv_limit)``.
+
+        The window rate (cwnd / RTT), the pacing caps, and the sender
+        and receiver CPU limits at this tick's working set, folded
+        left to right as ``np.minimum.reduce([...])`` would.  The
+        working set is what the sender actually touches: the in-flight
+        bytes (~rate*RTT of last tick's allocation ``prev_alloc``) plus
+        qdisc/socket slack — NOT the raw cwnd, which can sit far above
+        what an app-limited flow uses.  (min/max are exact and
+        commutative on these positive floats, and ``c * x`` rounds as
+        ``x * c``.)
+        """
+        cwnd = self.cwnd
+        window_rate = np.divide(cwnd, max(rtt, 1e-6), out=self.window_rate)
+        pace = self.pacing(rtt, pace_eff)
+        foot = self.footprint
+        np.multiply(prev_alloc, rtt, out=foot)
+        np.multiply(foot, 1.5, out=foot)
+        np.maximum(foot, fp_floor, out=foot)
+        np.minimum(foot, cwnd, out=foot)
+        np.minimum(foot, fp_cap, out=foot)
+        snd_limit, rcv_limit = self.cpu_limits(rtt, foot)
+        caps = np.minimum(window_rate, pace, out=self._caps)
+        np.minimum(caps, snd_limit, out=caps)
+        np.minimum(caps, rcv_limit, out=caps)
+        return caps, foot, pace, rcv_limit
+
+    def loss_index(self, drops: np.ndarray, sent: np.ndarray) -> np.ndarray:
+        """Flows whose drops exceed ``LOSS_REACT_FRACTION`` of their arrival."""
+        threshold = np.maximum(sent, 1.0, out=self._mask_f)
+        np.multiply(threshold, LOSS_REACT_FRACTION, out=threshold)
+        return np.nonzero(drops > threshold)[0]
+
+    def validation_mask(
+        self, alloc: np.ndarray, rtt: float, react10: float
+    ) -> np.ndarray:
+        """Congestion-window validation (RFC 7661): which flows are
+        app-limited this tick.
+
+        Loss-based algorithms only grow while the window is what binds.
+        The mask reads this tick's pre-update windows and window rates
+        (call it before :meth:`cc_feedback`).  Same left fold
+        ``(nv & a) & b`` as the expression form; ``&`` on bool arrays is
+        logical_and.
+        """
+        f, b1, b2 = self._mask_f, self._mask_b1, self._mask_b2
+        np.multiply(alloc, rtt, out=f)
+        np.maximum(f, react10, out=f)
+        np.multiply(f, 1.5, out=f)
+        np.greater(self.cwnd, f, out=b1)
+        np.logical_and(self.needs_validation, b1, out=b1)
+        np.multiply(alloc, 1.2, out=f)
+        np.greater(self.window_rate, f, out=b2)
+        return np.logical_and(b1, b2, out=b1)
+
+    # -- per-tick hooks ---------------------------------------------------
 
     def pacing(self, rtt: float, pace_eff: np.ndarray) -> np.ndarray:
         """Per-flow pacing caps: fq rate min'd with CC-internal pacing."""
@@ -216,7 +315,7 @@ class VectorKernel(TickKernel):
 
     * ``cpu_limits`` and ``cpu_costs`` share the footprint-dependent
       copy+stack sub-expression within a tick (both hooks evaluate the
-      identical formula on the identical array — the driver calls
+      identical formula on the identical array — :meth:`caps` calls
       ``cpu_limits`` first each tick).
     * The damped receiver-limit step contracts to an exact float fixed
       point; once an update returns its input bit-for-bit, the old
@@ -227,59 +326,19 @@ class VectorKernel(TickKernel):
       mutates one, which is what makes the reuse safe.
     """
 
-    def __init__(self, ccs, send_models, recv_models, **kwargs) -> None:
-        super().__init__(ccs, send_models, recv_models, **kwargs)
-        self._bind(CcBatch(ccs))
-
-    @classmethod
-    def from_batch(
-        cls,
-        batch: CcBatch,
-        send_models: list[CpuCostModel],
-        recv_models: list[CpuCostModel],
-        *,
-        run_noise: float,
-        snd_app_share: float,
-        rcv_app_share: float,
-        rcv_irq_share: float,
-        budget_rx: float,
-        agg_rx_base: float,
-    ) -> "VectorKernel":
-        """Build from a prebuilt :class:`CcBatch`, no per-flow CC objects.
-
-        The sharded massive-flow path constructs its congestion state
-        via :meth:`CcBatch.from_kinds` (one template per algorithm);
-        this constructor accepts that batch directly, skipping the
-        O(flows) object scans in :meth:`TickKernel.__init__`.
-        """
-        self = cls.__new__(cls)
-        self.n = int(batch.cwnd.size)
-        self.ccs = []
-        self.send_models = send_models
-        self.recv_models = recv_models
-        self.run_noise = run_noise
-        self.snd_app_share = snd_app_share
-        self.rcv_app_share = rcv_app_share
-        self.rcv_irq_share = rcv_irq_share
-        self.budget_rx = budget_rx
-        self.needs_validation = batch.needs_validation
-        self.snd_limit = np.zeros(self.n)
-        self.rcv_limit = np.full(self.n, agg_rx_base)
-        self._bind(batch)
-        return self
-
-    def _bind(self, batch: CcBatch) -> None:
-        """Attach the CC batch and (re)build the per-run scratch state."""
-        self.batch = batch
+    def _bind(self, ccs) -> None:
+        """Attach the CC batch and build the per-run scratch state."""
+        self.batch = ccs if isinstance(ccs, CcBatch) else CcBatch(ccs)
         # The batch owns the authoritative window array.
         self.cwnd = self.batch.cwnd
+        self.needs_validation = self.batch.needs_validation
         self.sender = SenderCostBatch(self.send_models)
         self.receiver = ReceiverCostBatch(self.recv_models)
         # Precomputed scalar coefficients (same association as the
         # scalar kernel's left-to-right evaluation).
         self._budget_app = self.budget_rx * self.rcv_app_share
         self._budget_irq = self.budget_rx * self.rcv_irq_share
-        self._rcv_scratch = np.empty(self.n)
+        self._rcv_scratch = np.empty(self.cwnd.size)
         # Within-tick share of the sender prep array, keyed by the
         # footprint array's identity.
         self._tick_foot: np.ndarray | None = None

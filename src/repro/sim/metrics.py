@@ -137,7 +137,12 @@ class MetricsAccumulator:
             self._interval_bytes = 0.0
             self._next_interval += 1.0
 
-    def finalize(self) -> RunResult:
+    def finalize(self, per_flow_bytes: np.ndarray | None = None) -> RunResult:
+        """The run's result.  ``per_flow_bytes`` stands in for the
+        per-flow delivered totals when the caller accumulated them
+        itself (the sharded engine keeps them in shared memory)."""
+        if per_flow_bytes is None:
+            per_flow_bytes = self._bytes
         t = max(self._measured_time, 1e-9)
         cpu = (
             np.array(
@@ -153,7 +158,7 @@ class MetricsAccumulator:
         return RunResult(
             duration=self.duration,
             omit=self.omit,
-            per_flow_goodput=self._bytes / t,
+            per_flow_goodput=per_flow_bytes / t,
             retransmit_segments=self._retr,
             loss_events=self._loss_events,
             sender_cpu=CpuUtil(app_pct=100 * cpu[0], irq_pct=100 * cpu[1]),

@@ -28,9 +28,11 @@ Three equivalent switches:
   context manager (used by the test suite).
 
 The sanitizer is wired into :class:`repro.core.engine.Engine` (event
-times) and :class:`repro.sim.flowsim.FlowSimulator` (per-tick state and
-link conservation).  When disabled — the default — neither pays more
-than a single ``None`` check per tick/event.
+times), :class:`repro.sim.stages.PathStage` (the clock, queue
+occupancies and link conservation of both simulation drivers) and
+:class:`repro.sim.flowsim.FlowSimulator` (per-flow state).  When
+disabled — the default — none pays more than a single ``None`` check
+per tick/event.
 
 Violations raise :class:`~repro.core.errors.SanitizerViolation`, a
 :class:`~repro.core.errors.SimulationError`: they always indicate a bug

@@ -1,8 +1,8 @@
 """Sharded massive-flow simulation: 10k–1M flows across worker processes.
 
 The paper drives at most 16 parallel iperf3 streams, but the R&E links
-it studies carry thousands of concurrent flows.  This module scales the
-PR-5 :class:`~repro.sim.kernels.VectorKernel` to that regime by
+it studies carry thousands of concurrent flows.  This module scales
+:class:`~repro.sim.kernels.VectorKernel` to that regime by
 splitting the per-flow arrays across worker processes.  Workers own
 contiguous *blocks* of flows; every cross-flow quantity the tick needs
 (max-min water-filling state, queue offers, CPU budget sums) travels as
@@ -45,11 +45,21 @@ by comparison count, and one ``np.add.at`` scatter.
 as the reference the tests check the segmented form against bit for
 bit, generator states included.
 
-The engine is its own canon: it transcribes the
-:class:`~repro.sim.flowsim.FlowSimulator` physics per lane, but drop
-concentration and weight draws are per-block rather than global, so its
-numbers are compared against *its own* goldens (any shard count), not
-against the unsharded simulator's.
+Shared physics
+--------------
+The engine runs the same physics as
+:class:`~repro.sim.flowsim.FlowSimulator`, written once: the run set-up
+and the path stage (background, RTT, receiver ceiling, switch and ring
+queues) are :mod:`repro.sim.stages`, and every lane computation is a
+:class:`~repro.sim.kernels.VectorKernel` stage or hook.  What differs
+is the block layout above: per-block burst and drop streams in place
+of one fused draw, phased water-filling in place of
+:func:`~repro.sim.bottleneck.maxmin_allocate`, block drop placement in
+place of :func:`~repro.sim.lossmodel.concentrate_drops`, and block
+partials in place of global reductions.  So its numbers are compared
+against *its own* goldens (any shard count); with the run noise pinned
+and no drops, its results equal the unsharded simulator's exactly
+(``tests/test_shard_parity.py``).
 
 Fault handling
 --------------
@@ -66,7 +76,6 @@ The shard count is 1 unless a caller pins it: ``repro run --shards N``
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing as mp
 import os
 import threading
@@ -77,31 +86,18 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core import units
 from repro.core.errors import ConfigurationError
 from repro.core.rng import RngFactory
 from repro.host.machine import Host
 from repro.net.path import NetworkPath
-from repro.net.switch import SharedBufferQueue, SwitchModel
-from repro.sim.cpumodel import CpuCostModel
-from repro.sim.flowsim import (
-    LOSS_REACT_FRACTION,
-    RX_CEILING_NOISE,
-    WAN_RX_AGG_PENALTY,
-    FlowSpec,
-    SimProfile,
-)
+from repro.sim.flowsim import FlowSpec, SimProfile
 from repro.sim.kernels import VectorKernel
-from repro.sim.lossmodel import (
-    BURST_SIGMA,
-    TRAIN_FRACTION,
-    BurstModel,
-    flow_release_slack,
-)
+from repro.sim.lossmodel import BURST_SIGMA, TRAIN_FRACTION, BurstModel
 from repro.sim.metrics import MetricsAccumulator, RunResult
+from repro.sim.sanitizer import SimSanitizer
+from repro.sim.sanitizer import enabled as sanitizer_enabled
+from repro.sim.stages import PathStage, RunSetup, emit_run_end, emit_run_start
 from repro.tcp.cc.batch import CcBatch
-from repro.tcp.segment import SegmentGeometry
-from repro.tcp.sockets import SocketProfile
 from repro.trace.bus import active as trace_active
 
 __all__ = [
@@ -450,10 +446,15 @@ class _ShardWorker:
 
     Built in the coordinator process *before* forking, so process-mode
     children inherit every array (scratch pages go copy-on-write; the
-    exchange/control/accumulator views map shared segments).  All
-    methods transcribe the :class:`FlowSimulator` tick per lane; the
-    class docstring of this module explains why that makes the results
-    shard-count-invariant.
+    exchange/control/accumulator views map shared segments).  The lane
+    physics is the kernel's (:meth:`VectorKernel.caps`,
+    :meth:`~VectorKernel.loss_index`,
+    :meth:`~VectorKernel.validation_mask` and the four hooks) — the
+    same stages :class:`~repro.sim.flowsim.FlowSimulator` calls.  What
+    the worker adds is the block layout: per-block burst draws and drop
+    placement, and block partials in place of global reductions, which
+    is what makes the results shard-count-invariant (see the module
+    docstring).
     """
 
     def __init__(
@@ -461,52 +462,37 @@ class _ShardWorker:
         shard_id: int,
         plan: ShardPlan,
         kern: VectorKernel,
+        setup: RunSetup,
         *,
-        pace_eff: np.ndarray,
-        slacks: np.ndarray,
         persistent_w: np.ndarray,
-        valid_f: np.ndarray,
-        valid_b: np.ndarray,
         burst_rngs: list[np.random.Generator],
         drop_rngs: list[np.random.Generator],
         exchange: np.ndarray,
         accum: np.ndarray,
-        dt: float,
-        omit: float,
-        mss: float,
-        react10: float,
-        fp_floor: float,
-        fp_cap: float,
-        max_window: float,
-        all_smooth: bool,
     ) -> None:
+        """The run-wide arrays and per-block generators are sliced to
+        this shard's lanes and blocks here."""
         self.shard_id = shard_id
         self.b0, self.b1 = plan.block_range(shard_id)
         f0, f1 = plan.flow_range(shard_id)
         m = f1 - f0
-        self.m = m
         self.kern = kern
-        self.pace_eff = pace_eff
-        self.slacks = slacks
-        self.persistent_w = persistent_w
-        self.valid_f = valid_f
-        self.valid_b = valid_b
-        self.burst_rngs = burst_rngs
-        self.drop_rngs = drop_rngs
+        self.setup = setup
+        self.dt = setup.dt
+        self.pace_eff = setup.pace_eff[f0:f1]
+        self.slacks = setup.slacks[f0:f1]
+        self.persistent_w = persistent_w[f0:f1]
+        self.burst_rngs = burst_rngs[self.b0 : self.b1]
+        self.drop_rngs = drop_rngs[self.b0 : self.b1]
         self.ex = exchange
         self.rows = slice(self.b0, self.b1)
         self.accum = accum[f0:f1]
-        self.dt = dt
-        self.omit = omit
-        self.mss = mss
-        self.react10 = react10
-        self.fp_floor = fp_floor
-        self.fp_cap = fp_cap
-        self.max_window = max_window
-        self.all_smooth = all_smooth
-        # Pad lanes of THIS shard (only the globally last block has any).
-        n_local_valid = int(np.count_nonzero(valid_b))
-        self.pad_slice = slice(n_local_valid, m)
+        # Valid (non-pad) lanes of THIS shard; only the globally last
+        # block has pads, at its end.
+        n_valid = max(0, min(m, plan.n - f0))
+        self.valid_b = np.arange(m) < n_valid
+        self.valid_f = self.valid_b.astype(float)
+        self.pad_slice = slice(n_valid, m)
 
         # Persistent per-run state.
         self.tick = 0
@@ -518,10 +504,8 @@ class _ShardWorker:
         self.empty_idx = np.zeros(0, dtype=np.intp)
         self.zero_trains = np.zeros(m)
 
-        # Per-tick scratch, rewritten before first read each tick.
-        self.wr_buf = np.empty(m)
-        self.foot_buf = np.empty(m)
-        self.caps_buf = np.empty(m)
+        # Per-tick scratch, rewritten before first read each tick.  The
+        # caps, footprints and window rates are the kernel's.
         self.fair = np.empty(m)
         self.sent = np.empty(m)
         self.after1 = np.empty(m)
@@ -532,7 +516,6 @@ class _ShardWorker:
         self.del_buf = np.empty(m)
         self.drate_buf = np.empty(m)
         self.mscratch = np.empty(m)
-        self.mask_f1 = np.empty(m)
         self.mask_b1 = np.empty(m, dtype=bool)
         self.mask_b2 = np.empty(m, dtype=bool)
         self.t_buf = np.empty(m)
@@ -557,26 +540,16 @@ class _ShardWorker:
         self.now = self.tick * self.dt
         self.rtt = rtt
         ex, rows = self.ex, self.rows
-        kern = self.kern
-        cwnd = kern.cwnd
-        window_rate = np.divide(cwnd, max(rtt, 1e-6), out=self.wr_buf)
-        pace = kern.pacing(rtt, self.pace_eff)
-
-        np.multiply(self.prev_alloc, rtt, out=self.foot_buf)
-        np.multiply(self.foot_buf, 1.5, out=self.foot_buf)
-        np.maximum(self.foot_buf, self.fp_floor, out=self.foot_buf)
-        np.minimum(self.foot_buf, cwnd, out=self.foot_buf)
-        footprint = np.minimum(self.foot_buf, self.fp_cap, out=self.foot_buf)
-        snd_limit, rcv_limit = kern.cpu_limits(rtt, footprint)
-
-        caps = np.minimum(window_rate, pace, out=self.caps_buf)
-        np.minimum(caps, snd_limit, out=caps)
-        np.minimum(caps, rcv_limit, out=caps)
+        kern, setup = self.kern, self.setup
+        caps, footprint, _, rcv_limit = kern.caps(
+            rtt, self.prev_alloc, self.pace_eff, setup.fp_floor, setup.fp_cap
+        )
         # Pad lanes must allocate exactly 0 in the SEND fast path, which
         # takes max(caps, 0); zero their caps after the min fold.
         caps[self.pad_slice] = 0.0
+        self.caps = caps
 
-        if self.all_smooth:
+        if setup.all_smooth:
             # All slacks 0: the jitter multiplies out to the persistent
             # weights exactly and trains to +0.0; skip the draws.  The
             # condition is global, so every shard count skips together.
@@ -607,7 +580,7 @@ class _ShardWorker:
             np.exp(t, out=t)
             np.multiply(self.slacks, t, out=t)
             np.multiply(t, TRAIN_FRACTION, out=t)
-            self.trains = np.multiply(t, cwnd, out=self.trains_buf)
+            self.trains = np.multiply(t, kern.cwnd, out=self.trains_buf)
 
         # Partials.  FOOT and RCV mask the pad lanes (their values are
         # kernel-owned and nonzero); multiplying the valid lanes by 1.0
@@ -629,10 +602,10 @@ class _ShardWorker:
         """One water-filling round at the coordinator's fair share."""
         ex, rows = self.ex, self.rows
         np.multiply(self.w, share, out=self.fair)
-        limited = np.less_equal(self.caps_buf, self.fair, out=self.mask_b1)
+        limited = np.less_equal(self.caps, self.fair, out=self.mask_b1)
         np.logical_and(limited, self.active, out=limited)
-        np.copyto(self.alloc, self.caps_buf, where=limited)
-        np.multiply(self.caps_buf, limited, out=self.mscratch)
+        np.copyto(self.alloc, self.caps, where=limited)
+        np.multiply(self.caps, limited, out=self.mscratch)
         ex[rows, _CAPPED] = _blocksums(self.mscratch)
         ex[rows, _NLIM] = _blocksums(limited)
         np.logical_not(limited, out=self.mask_b2)
@@ -645,14 +618,14 @@ class _ShardWorker:
         resolved = int(mode)
         if resolved == 0:
             # Uncongested fast path: every flow at its (clipped) cap.
-            np.maximum(self.caps_buf, 0.0, out=self.alloc)
+            np.maximum(self.caps, 0.0, out=self.alloc)
         else:
             if resolved == 1:
                 # Converged water-fill: still-active flows take the
                 # final fair share; limited flows already hold their
                 # caps from the WF rounds.
                 np.copyto(self.alloc, self.fair, where=self.active)
-            np.minimum(self.alloc, self.caps_buf, out=self.alloc)
+            np.minimum(self.alloc, self.caps, out=self.alloc)
             np.maximum(self.alloc, 0.0, out=self.alloc)
         np.multiply(self.alloc, self.dt, out=self.sent)
         ex[rows, _SENT] = _blocksums(self.sent)
@@ -696,7 +669,7 @@ class _ShardWorker:
 
     def round_feedback(self, any_d2: bool) -> None:
         ex, rows = self.ex, self.rows
-        rtt = self.rtt
+        kern, rtt = self.kern, self.rtt
         drops: np.ndarray | None
         if any_d2:
             trains_basis = self.tafter if self.had_drops1 else self.trains
@@ -720,32 +693,19 @@ class _ShardWorker:
             np.maximum(self.del_buf, 0.0, out=self.del_buf)
             delivered = self.del_buf
             ex[rows, _DROPS] = _blocksums(drops)
-            np.maximum(self.sent, 1.0, out=self.mscratch)
-            np.multiply(self.mscratch, LOSS_REACT_FRACTION, out=self.mscratch)
-            loss_idx = np.nonzero(drops > self.mscratch)[0]
+            loss_idx = kern.loss_index(drops, self.sent)
 
-        # Congestion-window validation mask (RFC 7661), transcribed
-        # from the driver: pre-update windows, this tick's allocation.
-        kern = self.kern
-        np.multiply(self.alloc, rtt, out=self.mask_f1)
-        np.maximum(self.mask_f1, self.react10, out=self.mask_f1)
-        np.multiply(self.mask_f1, 1.5, out=self.mask_f1)
-        np.greater(kern.cwnd, self.mask_f1, out=self.mask_b1)
-        np.logical_and(kern.needs_validation, self.mask_b1, out=self.mask_b1)
-        np.multiply(self.alloc, 1.2, out=self.mask_f1)
-        np.greater(self.wr_buf, self.mask_f1, out=self.mask_b2)
-        al_mask = np.logical_and(self.mask_b1, self.mask_b2, out=self.mask_b1)
-
+        al_mask = kern.validation_mask(self.alloc, rtt, self.setup.react10)
         reacted = kern.cc_feedback(
             self.now, self.dt, rtt, delivered, loss_idx, al_mask,
-            self.max_window,
+            self.setup.max_window,
         )
         ex[rows, _LOSSN] = 0.0
         ex[self.b0, _LOSSN] = float(len(reacted))
 
         drate = np.divide(delivered, self.dt, out=self.drate_buf)
         tx_app_pb, tx_irq_pb, zc_frac, rx_app_pb, rx_irq_pb = kern.cpu_costs(
-            self.alloc, drate, rtt, self.foot_buf
+            self.alloc, drate, rtt, kern.footprint
         )
         np.multiply(self.alloc, tx_app_pb, out=self.mscratch)
         ex[rows, _TXAPP] = _blocksums(self.mscratch)
@@ -758,7 +718,7 @@ class _ShardWorker:
         ex[rows, _ZC] = _blocksums(zc_frac)
         ex[rows, _DSUM] = _blocksums(delivered)
 
-        if self.now > self.omit:
+        if self.now > self.setup.omit:
             np.add(self.accum, delivered, out=self.accum)
         self.prev_alloc, self.alloc = self.alloc, self.prev_alloc
 
@@ -1013,12 +973,15 @@ class ShardedFlowSimulator:
     def _run_once(
         self, rep: int, plan: ShardPlan, use_procs: bool
     ) -> RunResult:
-        prof = self.profile
         n = plan.n
-        dt = prof.tick
         # A fresh factory per attempt: generator state must restart
         # from the seed so a retried run is byte-identical.
         rng = RngFactory(seed=self.rng.seed)
+        san = (
+            SimSanitizer(context=f"shard rep={rep}")
+            if sanitizer_enabled()
+            else None
+        )
 
         jitter_rng = rng.stream("shard:hostjitter", rep)
         bg_rng = rng.stream("shard:background", rep)
@@ -1035,137 +998,31 @@ class ShardedFlowSimulator:
             rng.stream(_drop_label(block), rep)  # repro: noqa-RNG001
             for block in range(plan.n_blocks)
         ]
+        if san is not None:
+            san.check_stream_registry(rng)
 
-        snd_place = self.sender.resolved_placement(place_rng)
-        rcv_place = self.receiver.resolved_placement(place_rng)
-        geom_tx = SegmentGeometry(
-            mtu=self.sender.tuning.mtu,
-            gso_size=self.sender.effective_gso_size(),
-            gro_size=self.receiver.effective_gro_size(),
+        # Lanes in group order, then the pads: inert copying flows
+        # excluded from the aggregate-ceiling mins.
+        setup = RunSetup(
+            self.sender,
+            self.receiver,
+            self.path,
+            self.population.groups,
+            self.profile,
+            place_rng=place_rng,
+            jitter_rng=jitter_rng,
+            burst=BurstModel(rng=place_rng),
+            pads=plan.n_pad - n,
         )
-        sockets = SocketProfile.from_sysctls(
-            self.sender.sysctls, self.receiver.sysctls
-        )
-        burst = BurstModel(rng=place_rng)
-
-        # Per-group (per flow *class*) cost models and per-flow arrays,
-        # assembled in group order then padded.  Pads are inert copying
-        # flows excluded from the aggregate-ceiling mins.
-        send_models: list[CpuCostModel] = []
-        recv_models: list[CpuCostModel] = []
-        group_tx: list[CpuCostModel] = []
-        group_rx: list[CpuCostModel] = []
         kinds: list[str] = []
-        pace_parts: list[np.ndarray] = []
-        slack_parts: list[np.ndarray] = []
         for spec, count in self.population.groups:
-            model_tx = CpuCostModel(
-                self.sender, geom_tx, snd_place, zerocopy=spec.zerocopy
-            )
-            model_rx = CpuCostModel(
-                self.receiver, geom_tx, rcv_place,
-                skip_rx_copy=spec.skip_rx_copy,
-            )
-            group_tx.append(model_tx)
-            group_rx.append(model_rx)
-            send_models.extend([model_tx] * count)
-            recv_models.extend([model_rx] * count)
             kinds.extend([spec.cc] * count)
-            pace_parts.append(
-                np.full(
-                    count,
-                    spec.pacing.effective_rate()
-                    if spec.pacing.enabled
-                    else np.inf,
-                )
-            )
-            slack_parts.append(
-                np.full(
-                    count,
-                    flow_release_slack(spec.pacing, spec.zerocopy, burst),
-                )
-            )
-        n_pads = plan.n_pad - n
-        if n_pads:
-            pad_tx = CpuCostModel(self.sender, geom_tx, snd_place)
-            pad_rx = CpuCostModel(self.receiver, geom_tx, rcv_place)
-            send_models.extend([pad_tx] * n_pads)
-            recv_models.extend([pad_rx] * n_pads)
-            kinds.extend(["cubic"] * n_pads)
-            pace_parts.append(np.full(n_pads, np.inf))
-            slack_parts.append(np.zeros(n_pads))
-        pace_eff = np.concatenate(pace_parts)
-        slacks = np.concatenate(slack_parts)
-        valid_b = np.zeros(plan.n_pad, dtype=bool)
-        valid_b[:n] = True
-        valid_f = valid_b.astype(float)
-
-        run_noise = 1.0 + jitter_rng.normal(
-            0.0, 0.012 + self.sender.vm.jitter + self.receiver.vm.jitter
-        )
-        run_noise = float(np.clip(run_noise, 0.85, 1.15))
-
-        snd_app_share = min(1.0, len(snd_place.app_cores) / n)
-        rcv_app_share = min(1.0, len(rcv_place.app_cores) / n)
-        rcv_irq_share = min(1.0, len(rcv_place.irq_cores) / n)
-
-        eff = geom_tx.wire_efficiency
-        path_cap_good = self.path.capacity * eff
-        backbone = SwitchModel(
-            model=self.path.switch.model,
-            shared_buffer_bytes=self.path.switch.shared_buffer_bytes,
-            supports_flow_control=False,
-        )
-        q_switch = SharedBufferQueue(backbone, drain_rate=path_cap_good)
-        ring_switch = SwitchModel(
-            model="rx-ring",
-            shared_buffer_bytes=self.receiver.rx_ring_bytes(),
-            supports_flow_control=self.path.flow_control,
-        )
-        q_ring = SharedBufferQueue(ring_switch, drain_rate=path_cap_good)
-
-        agg_tx = min(m.aggregate_tx_ceiling() for m in group_tx) * run_noise
-        agg_rx_base = (
-            min(m.aggregate_rx_ceiling() for m in group_rx) * run_noise
-        )
-        budget_tx = self.sender.core_cycles_per_sec() * run_noise
-        budget_rx = self.receiver.core_cycles_per_sec() * run_noise
-
-        metrics = MetricsAccumulator(0, prof.duration, prof.omit)
-        base_rtt = self.path.rtt_sec
-
-        # Hoisted loop invariants — same forms as the unsharded driver.
-        mss = geom_tx.mss
-        react10 = 10 * mss
-        fp_floor = 64 * geom_tx.gso_size
-        fp_cap = sockets.max_send_window * 2.0
-        l3_20 = 20.0 * self.receiver.cpu.l3_effective_bytes
-        n_exposure = min(1.0, n / 4.0)
-        physical = self.path.bottleneck.rate_bytes_per_sec
-        bg_mean = self.path.background.mean_bytes_per_sec
-        path_capacity = self.path.capacity
-        cap_floor = 0.05 * path_cap_good
-        cap_avg = max(cap_floor, min(path_capacity, physical - bg_mean) * eff)
-        capacity = min(cap_avg, agg_tx)
-        line1_den = max(
-            min(self.sender.nic.speed_bytes_per_sec, physical) * eff, 1.0
-        )
-        line2_den = max(physical * eff, 1.0)
-        buf1 = self.path.switch.shared_buffer_bytes
-        buf2 = self.receiver.rx_ring_bytes()
-        bg_active = self.path.background.active
-        flow_control = self.path.flow_control
-        bg_sample = 0.0
-        cap_net = max(cap_floor, min(path_capacity, physical - bg_sample) * eff)
-        fill1 = max(0.0, 1.0 - cap_net / line1_den)
-        drained1 = cap_net * dt
-        all_smooth = not bool(slacks[:n].any())
-        max_window = sockets.max_window
-        n_ticks = int(round(prof.duration / dt))
-        steps_per_bg = max(1, int(round(0.02 / dt)))
+        kinds.extend(["cubic"] * (plan.n_pad - n))
+        metrics = MetricsAccumulator(0, setup.duration, setup.omit)
 
         # Per-run persistent max-min weights, drawn per block from that
         # block's stream (the shard-invariant unit of randomness).
+        slacks = setup.slacks
         persistent_w = np.empty(plan.n_pad)
         for block in range(plan.n_blocks):
             lanes = slice(block * BLOCK_FLOWS, (block + 1) * BLOCK_FLOWS)
@@ -1201,42 +1058,19 @@ class ShardedFlowSimulator:
 
         workers = []
         for shard in range(plan.shards):
-            f0, f1 = plan.flow_range(shard)
-            b0, b1 = plan.block_range(shard)
-            batch = CcBatch.from_kinds(kinds[f0:f1], mss=float(mss))
-            kern = VectorKernel.from_batch(
-                batch,
-                send_models[f0:f1],
-                recv_models[f0:f1],
-                run_noise=run_noise,
-                snd_app_share=snd_app_share,
-                rcv_app_share=rcv_app_share,
-                rcv_irq_share=rcv_irq_share,
-                budget_rx=budget_rx,
-                agg_rx_base=agg_rx_base,
-            )
+            lanes = slice(*plan.flow_range(shard))
+            batch = CcBatch.from_kinds(kinds[lanes], mss=float(setup.mss))
             workers.append(
                 _ShardWorker(
                     shard,
                     plan,
-                    kern,
-                    pace_eff=pace_eff[f0:f1],
-                    slacks=slacks[f0:f1],
-                    persistent_w=persistent_w[f0:f1],
-                    valid_f=valid_f[f0:f1],
-                    valid_b=valid_b[f0:f1],
-                    burst_rngs=burst_rngs[b0:b1],
-                    drop_rngs=drop_rngs[b0:b1],
+                    setup.kernel(VectorKernel, batch, lanes),
+                    setup,
+                    persistent_w=persistent_w,
+                    burst_rngs=burst_rngs,
+                    drop_rngs=drop_rngs,
                     exchange=exchange,
                     accum=accum,
-                    dt=dt,
-                    omit=prof.omit,
-                    mss=float(mss),
-                    react10=float(react10),
-                    fp_floor=float(fp_floor),
-                    fp_cap=float(fp_cap),
-                    max_window=float(max_window),
-                    all_smooth=all_smooth,
                 )
             )
 
@@ -1244,61 +1078,40 @@ class ShardedFlowSimulator:
         want_probe = bus is not None and bus.wants("probe")
         probe_stride = 0
         if want_probe:
-            probe_stride = max(1, int(round(bus.probe_interval / dt)))
-        if bus is not None:
-            # Same wire format as the unsharded run.start — no shard
-            # count: the event stream must be shard-count-invariant.
-            bus.emit(
-                "run",
-                "run.start",
-                rep=rep,
-                flows=n,
-                path=self.path.name,
-                duration=prof.duration,
-                tick=dt,
-                rtt_ms=units.seconds_to_ms(base_rtt),
-                flow_control=flow_control,
-            )
+            probe_stride = max(1, int(round(bus.probe_interval / setup.dt)))
+        path = PathStage(setup, bg_rng, bus=bus, san=san)
+        emit_run_start(bus, setup, rep)
 
-        fast_q = bus is None
         transport = (
             _SharedMemTransport(workers, ctl)
             if use_procs
             else _InProcTransport(workers, ctl)
         )
         red = np.add.reduce  # block partials fold in global block order
-        try:
-            for step in range(n_ticks):
-                now = (step + 1) * dt
-                if bus is not None:
-                    bus.set_time(now)
-                if bg_active and step % steps_per_bg == 0:
-                    bg_sample = float(self.path.background.sample(bg_rng, 1)[0])
-                    cap_net = max(
-                        cap_floor,
-                        min(path_capacity, physical - bg_sample) * eff,
-                    )
-                    fill1 = max(0.0, 1.0 - cap_net / line1_den)
-                    drained1 = cap_net * dt
-                rtt = base_rtt + q_switch.occupancy / max(
-                    q_switch.drain_rate, 1.0
+
+        def apportion(out_col: int, basis_col: int, volume: float, total: float):
+            """Split a drop volume over blocks ∝ a partials column (a
+            positive train volume implies a positive train total)."""
+            if volume > 0.0 and total > 0.0:
+                np.multiply(
+                    exchange[:, basis_col], volume / total, out=exchange[:, out_col]
                 )
+            else:
+                exchange[:, out_col] = 0.0
 
+        dt, mss, capacity = setup.dt, setup.mss, setup.capacity
+        budget_tx, budget_rx = setup.budget_tx, setup.budget_rx
+        try:
+            for step in range(setup.n_ticks):
+                _, rtt = path.begin(step)
                 transport.phase(_CMD_CAPS, rtt)
-
-                total_foot = float(red(exchange[:, _FOOT]))
-                rx_exposure = min(1.0, total_foot / l3_20) * n_exposure
                 # The coordinator draws the rx-ceiling noise from its
                 # own stream every tick (the driver's fused draw is
                 # per-block here, so z cannot ride along with it).
-                noise_z = float(rx_rng.standard_normal())
-                z = noise_z if -2.5 <= noise_z <= 2.5 else (
-                    -2.5 if noise_z < -2.5 else 2.5
-                )
-                rx_noise = 1.0 + RX_CEILING_NOISE * rx_exposure * z
-                agg_rx = (
-                    agg_rx_base * (1.0 - WAN_RX_AGG_PENALTY * rx_exposure)
-                    * rx_noise
+                path.receiver_ceiling(
+                    float(red(exchange[:, _FOOT])),
+                    float(red(exchange[:, _RCV])),
+                    float(rx_rng.standard_normal()),
                 )
 
                 # --- max-min allocation over block partials ----------
@@ -1327,86 +1140,31 @@ class ShardedFlowSimulator:
                 transport.phase(_CMD_SEND, mode)
 
                 # --- queues + packet-train loss ----------------------
+                # The workers place each block's share on its lanes.
                 offered1 = float(red(exchange[:, _SENT]))
-                tick_per_rtt = dt / max(rtt, dt)
-                q_switch.drain_rate = cap_net
-                occ1_before = q_switch.occupancy
-                if fast_q and occ1_before == 0.0 and offered1 <= drained1:  # repro: noqa-FLOAT001
-                    delivered1, dropped_std1 = offered1, 0.0
-                else:
-                    delivered1, dropped_std1 = q_switch.offer(offered1, dt)
-                del delivered1
-                trains_total = 0.0
-                if fill1 > 0.0 and not all_smooth:
-                    trains_total = float(red(exchange[:, _TRAIN]))
-                    headroom1 = max(0.0, buf1 - q_switch.occupancy)
-                    overflow1 = max(0.0, trains_total * fill1 - headroom1)
-                else:
-                    overflow1 = 0.0
-                ov1 = overflow1 * tick_per_rtt
+                trains_total = (
+                    float(red(exchange[:, _TRAIN])) if path.switch_trains else 0.0
+                )
+                ov1, dropped_std1 = path.offer_switch(offered1, trains_total)
                 need_d1 = ov1 > 0.0 or dropped_std1 > 0.0
                 if need_d1:
-                    if ov1 > 0.0:
-                        np.multiply(
-                            exchange[:, _TRAIN],
-                            ov1 / trains_total,
-                            out=exchange[:, _D1T],
-                        )
-                    else:
-                        exchange[:, _D1T] = 0.0
-                    if dropped_std1 > 0.0 and offered1 > 0.0:
-                        np.multiply(
-                            exchange[:, _SENT],
-                            dropped_std1 / offered1,
-                            out=exchange[:, _D1S],
-                        )
-                    else:
-                        exchange[:, _D1S] = 0.0
+                    apportion(_D1T, _TRAIN, ov1, trains_total)
+                    apportion(_D1S, _SENT, dropped_std1, offered1)
                     transport.phase(_CMD_DROPS1, 0.0)
                     offered2 = float(red(exchange[:, _AFTER1]))
                 else:
                     offered2 = offered1
 
-                rcv_drain = min(agg_rx, float(red(exchange[:, _RCV])))
-                q_ring.drain_rate = rcv_drain
-                occ2_before = q_ring.occupancy
-                if fast_q and occ2_before == 0.0 and offered2 <= rcv_drain * dt:  # repro: noqa-FLOAT001
-                    dropped_std2 = 0.0
-                else:
-                    _, dropped_std2 = q_ring.offer(offered2, dt)
-                need_d2 = False
-                if not flow_control:
-                    fill2 = max(0.0, 1.0 - rcv_drain / line2_den)
-                    t_col = _TAFTER if need_d1 else _TRAIN
-                    basis_total = 0.0
-                    if fill2 > 0.0 and not all_smooth:
-                        basis_total = float(red(exchange[:, t_col]))
-                        headroom2 = max(0.0, buf2 - q_ring.occupancy)
-                        overflow2 = max(
-                            0.0, basis_total * fill2 - headroom2
-                        )
-                    else:
-                        overflow2 = 0.0
-                    ov2 = overflow2 * tick_per_rtt
-                    need_d2 = ov2 > 0.0 or dropped_std2 > 0.0
-                    if need_d2:
-                        if ov2 > 0.0:
-                            np.multiply(
-                                exchange[:, t_col],
-                                ov2 / basis_total,
-                                out=exchange[:, _D2T],
-                            )
-                        else:
-                            exchange[:, _D2T] = 0.0
-                        if dropped_std2 > 0.0 and offered2 > 0.0:
-                            s_col = _AFTER1 if need_d1 else _SENT
-                            np.multiply(
-                                exchange[:, s_col],
-                                dropped_std2 / offered2,
-                                out=exchange[:, _D2S],
-                            )
-                        else:
-                            exchange[:, _D2S] = 0.0
+                t_col = _TAFTER if need_d1 else _TRAIN
+                basis_total = (
+                    float(red(exchange[:, t_col])) if path.ring_trains else 0.0
+                )
+                ov2, dropped_std2 = path.offer_ring(offered2, basis_total)
+                need_d2 = ov2 > 0.0 or dropped_std2 > 0.0
+                if need_d2:
+                    apportion(_D2T, t_col, ov2, basis_total)
+                    s_col = _AFTER1 if need_d1 else _SENT
+                    apportion(_D2S, s_col, dropped_std2, offered2)
                 transport.phase(_CMD_FEEDBACK, 1.0 if need_d2 else 0.0)
 
                 # --- metrics -----------------------------------------
@@ -1442,14 +1200,12 @@ class ShardedFlowSimulator:
                         offered=round(offered1, 3),
                         delivered=round(delivered_sum, 3),
                         rtt=rtt,
-                        switch_occupancy=q_switch.occupancy,
-                        ring_occupancy=q_ring.occupancy,
+                        switch_occupancy=path.q_switch.occupancy,
+                        ring_occupancy=path.q_ring.occupancy,
                     )
             transport.end()
-            result = metrics.finalize()
-            t_meas = max(metrics._measured_time, 1e-9)
             # A fresh array: safe to return after the segments unlink.
-            per_flow = accum[:n] / t_meas
+            result = metrics.finalize(per_flow_bytes=accum[:n])
         finally:
             transport.close()
             for seg in segments:
@@ -1463,15 +1219,5 @@ class ShardedFlowSimulator:
                     seg.unlink()
                 except FileNotFoundError:
                     pass
-        result = dataclasses.replace(result, per_flow_goodput=per_flow)
-        if bus is not None:
-            bus.emit(
-                "run",
-                "run.end",
-                rep=rep,
-                flows=n,
-                gbps=round(result.total_gbps, 6),
-                retransmit_segments=round(result.retransmit_segments, 3),
-                loss_events=result.loss_events,
-            )
+        emit_run_end(bus, setup, rep, result)
         return result

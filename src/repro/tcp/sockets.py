@@ -40,17 +40,3 @@ class SocketProfile:
     def max_window(self) -> float:
         """The binding window limit (min of both sides)."""
         return min(self.max_send_window, self.max_recv_window)
-
-    def window_limited_rate(self, rtt: float) -> float:
-        """Ceiling on throughput from window limits alone, bytes/s."""
-        if rtt <= 0:
-            return float("inf")
-        return self.max_window / rtt
-
-    def buffer_footprint(self, cwnd_bytes: float) -> float:
-        """Bytes of send-buffer memory the sender actively touches.
-
-        The sender keeps the full unacked window in the socket buffer;
-        the working set for copies is ~min(cwnd, max send buffer).
-        """
-        return min(cwnd_bytes, self.max_send_window * 2.0)

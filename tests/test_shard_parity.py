@@ -12,7 +12,10 @@ control, pad lanes, single-block clamping), on hypothesis-generated
 populations, and on a registered experiment's digest through the
 runner's ``--shards`` plumbing.  The segmented block drop placement is
 checked bit for bit against its per-block reference,
-``_concentrate_block``.
+``_concentrate_block``.  Where the two engines' randomness cannot
+differ (run noise pinned, paced and drop-free), the block engine must
+also reproduce :class:`FlowSimulator` exactly; and the runtime
+sanitizer audits it without moving a bit.
 
 Partitioning/population semantics and selection plumbing (env var,
 programmatic override, validation errors) are covered at the bottom.
@@ -25,9 +28,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, SanitizerViolation
 from repro.core.rng import RngFactory
-from repro.sim.flowsim import FlowSpec, SimProfile
+from repro.net.switch import SharedBufferQueue
+from repro.sim import sanitizer, stages
+from repro.sim.flowsim import FlowSimulator, FlowSpec, SimProfile
 from repro.sim.shard import (
     BLOCK_FLOWS,
     FlowPopulation,
@@ -280,6 +285,76 @@ class TestSegmentedPlacement:
         assert vec.tobytes() == ref.tobytes()
         for a, b in zip(ref_rngs, vec_rngs):
             assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestCrossEngineAgreement:
+    """The block engine against :class:`FlowSimulator`, field by field.
+
+    Both engines build the run from the same set-up and step the same
+    kernel and path stages; what differs is randomness layout,
+    allocation and drop placement.  fq pacing at 40 Gbps in total
+    makes every burst draw multiply out and keeps both queues
+    drop-free, and pinning the shared run-noise function removes the
+    one run-level draw whose stream label differs — so any difference
+    left is a fault in one driver's glue.
+    """
+
+    @pytest.mark.parametrize("zerocopy", [False, True], ids=["copy", "zc"])
+    @pytest.mark.parametrize("n", [1, 3, 16, 33])
+    @pytest.mark.parametrize("path", ["lan", "wan54"])
+    def test_paced_drop_free_runs_agree(self, monkeypatch, path, n, zerocopy):
+        monkeypatch.setattr(stages, "run_noise", lambda *args: 1.0)
+        tb = AmLightTestbed(kernel="6.8")
+        snd, rcv = tb.host_pair()
+        flows = [FlowSpec(zerocopy=zerocopy).with_pacing_gbps(40.0 / n)] * n
+        single = FlowSimulator(
+            snd, rcv, tb.path(path), flows, PROFILE, RngFactory(9)
+        ).run()
+        blocks = ShardedFlowSimulator(
+            snd, rcv, tb.path(path), flows, PROFILE, RngFactory(9),
+            shards=1, mode="inproc",
+        ).run()
+        assert single.retransmit_segments == 0.0
+        assert blocks.total_gbps == single.total_gbps
+        assert np.array_equal(blocks.per_flow_goodput, single.per_flow_goodput)
+        assert np.array_equal(blocks.interval_goodput, single.interval_goodput)
+        assert blocks.sender_cpu == single.sender_cpu
+        assert blocks.receiver_cpu == single.receiver_cpu
+        assert blocks.retransmit_segments == single.retransmit_segments
+        assert blocks.zc_fraction_mean == single.zc_fraction_mean
+
+
+class TestShardSanitizer:
+    """``REPRO_SANITIZE`` audits the block engine's clock and links."""
+
+    @staticmethod
+    def _run(shards, on):
+        hosts, path, flows, seed = CASES["mixed-cc-wan"]
+        with sanitizer.sanitized(on):
+            return ShardedFlowSimulator(
+                *hosts, path, flows, PROFILE, RngFactory(seed),
+                shards=shards, mode="process",
+            ).run()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_clean_and_bit_identical(self, shards):
+        # The sanitizer routes every queue offer through the method
+        # (no empty-queue elision); the numbers must not move.
+        plain = self._run(shards, on=False)
+        audited = self._run(shards, on=True)
+        assert plain.retransmit_segments > 0
+        assert_bit_identical((plain, []), (audited, []))
+
+    def test_broken_conservation_is_caught(self, monkeypatch):
+        original = SharedBufferQueue.offer
+
+        def lying_offer(self, arrival_bytes, dt):
+            delivered, dropped = original(self, arrival_bytes, dt)
+            return delivered + 1e9, dropped  # mint a gigabyte
+
+        monkeypatch.setattr(SharedBufferQueue, "offer", lying_offer)
+        with pytest.raises(SanitizerViolation, match="created"):
+            self._run(1, on=True)
 
 
 def _small_config():
